@@ -8,7 +8,6 @@
 #include "core/presample.h"
 #include "obs/pool_metrics.h"
 #include "obs/workspace_metrics.h"
-#include "sim/aggregation_model.h"
 
 namespace gids::core {
 
@@ -49,12 +48,10 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   faults.latency_spike_rate = options_.latency_spike_rate;
   faults.latency_spike_ns = options_.latency_spike_ns;
   faults.stuck_queue_rate = options_.stuck_queue_rate;
-  faults.offline_device = options_.offline_device;
   faults.offline_devices = options_.offline_devices;
   faults.offline_at_ns = options_.offline_at_ns;
   faults.corruption_rate = options_.corruption_rate;
   if (faults.enabled()) {
-    GIDS_CHECK(options_.offline_device < cfg.n_ssd);
     for (int d : options_.offline_devices) {
       GIDS_CHECK(d >= 0 && d < cfg.n_ssd);
     }
@@ -495,53 +492,8 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
       features_free_.pop_back();
     }
   }
-  storage::FeatureGatherCounts group_counts;
   TimeNs group_sampling = 0;
   TimeNs group_training = 0;
-  // Per-iteration fault/retry virtual-time penalty, snapshotted from the
-  // storage array's ledger around each gather (zero without injection).
-  // The crc/degraded sub-ledgers partition the penalty for the cost
-  // ledger: penalty = crc_verify + degraded + backoff/spike rest.
-  // Workspace resize value-initializes, so these start at zero each call.
-  Workspace<TimeNs>& retry_penalty = retry_penalty_;
-  Workspace<TimeNs>& crc_penalty = crc_penalty_;
-  Workspace<TimeNs>& degraded_penalty = degraded_penalty_;
-  retry_penalty.clear();
-  retry_penalty.resize(group);
-  crc_penalty.clear();
-  crc_penalty.resize(group);
-  degraded_penalty.clear();
-  degraded_penalty.resize(group);
-  TimeNs group_retry_penalty = 0;
-  TimeNs group_crc_penalty = 0;
-  TimeNs group_degraded_penalty = 0;
-
-  // Failover attribution (FAULTS.md "Durability & failover"): snapshot
-  // the replica-routing counters around the group's gathers; the deltas
-  // name how many reads failed over, the device most failed FROM, and
-  // the replica most failed TO. Group-scoped like the kernel phases; the
-  // whole delta is charged to the group's first iteration so per-run
-  // sums stay exact.
-  const bool track_failovers = storage_->replica_set() != nullptr;
-  // Attribution arrays are stack-fixed; devices past the cap still fail
-  // over correctly, they just can't win the argmax label.
-  const int n_ssd_track = std::min(system_->config().n_ssd, 64);
-  const int n_replicas_track =
-      track_failovers ? storage_->replica_set()->options().replication_factor
-                      : 0;
-  uint64_t fo_before = 0;
-  uint64_t fo_from_before[storage::ReplicaSet::kMaxReplicas * 8] = {};
-  uint64_t fo_by_before[storage::ReplicaSet::kMaxReplicas] = {};
-  if (track_failovers) {
-    fo_before = storage_->replica_failovers_total();
-    for (int d = 0; d < n_ssd_track; ++d) {
-      fo_from_before[d] = storage_->failovers_from_device(d);
-    }
-    for (int r = 0; r < n_replicas_track; ++r) {
-      fo_by_before[r] = storage_->reads_by_replica(r);
-    }
-  }
-
   for (size_t i = 0; i < group; ++i) {
     Pending& p = pending_[i];
     loaders::IterationStats& st = group_batches[i].stats;
@@ -571,82 +523,38 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
     }
   }
 
-  if (options_.coalesce_pages) {
-    // One coalescing scope spanning the merged group: repeats *across*
-    // iterations also collapse to a single round-trip per distinct page.
-    // GatherGroup's per-slice accounting keeps per-iteration stats exact
-    // (sums equal the group totals).
-    Workspace<storage::GatherSlice>& slices = gather_slices_;
-    Workspace<storage::FeatureGatherCounts>& slice_counts = slice_counts_;
-    slices.clear();
-    slices.resize(group);
-    slice_counts.clear();
-    slice_counts.resize(group);
-    for (size_t i = 0; i < group; ++i) {
-      const auto& nodes = pending_[i].batch.input_nodes();
-      if (options_.counting_mode) {
-        slices[i] = storage::GatherSlice{nodes, {}};
-      } else {
-        group_batches[i].features.resize(nodes.size() * fs.feature_dim());
-        slices[i] = storage::GatherSlice{
-            nodes, std::span<float>(group_batches[i].features)};
-      }
-    }
-    const uint64_t penalty_before = storage_->retry_penalty_ns_total();
-    const uint64_t crc_before = storage_->crc_verify_ns_total();
-    const uint64_t degraded_before = storage_->degraded_penalty_ns_total();
-    GIDS_RETURN_IF_ERROR(gatherer_->GatherGroup(
-        std::span<const storage::GatherSlice>(slices.data(), slices.size()),
-        std::span<storage::FeatureGatherCounts>(slice_counts.data(),
-                                                slice_counts.size())));
-    // The retry/backoff ledger is group-scoped here (one gather call);
-    // only the non-accumulator branch reads per-iteration penalties, and
-    // it always runs with group == 1, so charging index 0 is exact.
-    group_retry_penalty = static_cast<TimeNs>(
-        storage_->retry_penalty_ns_total() - penalty_before);
-    retry_penalty[0] = group_retry_penalty;
-    group_crc_penalty =
-        static_cast<TimeNs>(storage_->crc_verify_ns_total() - crc_before);
-    crc_penalty[0] = group_crc_penalty;
-    group_degraded_penalty = static_cast<TimeNs>(
-        storage_->degraded_penalty_ns_total() - degraded_before);
-    degraded_penalty[0] = group_degraded_penalty;
-    for (size_t i = 0; i < group; ++i) {
-      group_batches[i].stats.gather = slice_counts[i];
-      group_counts.Add(slice_counts[i]);
-      group_batches[i].batch = std::move(pending_[i].batch);
-    }
-  } else {
-    for (size_t i = 0; i < group; ++i) {
-      Pending& p = pending_[i];
-      loaders::LoaderBatch& lb = group_batches[i];
-      loaders::IterationStats& st = lb.stats;
-      const uint64_t penalty_before = storage_->retry_penalty_ns_total();
-      const uint64_t crc_before = storage_->crc_verify_ns_total();
-      const uint64_t degraded_before = storage_->degraded_penalty_ns_total();
-      const auto& nodes = p.batch.input_nodes();
-      if (options_.counting_mode) {
-        GIDS_RETURN_IF_ERROR(
-            gatherer_->GatherCountsOnly(nodes, &st.gather));
-      } else {
-        lb.features.resize(nodes.size() * fs.feature_dim());
-        GIDS_RETURN_IF_ERROR(gatherer_->Gather(
-            nodes, std::span<float>(lb.features), &st.gather));
-      }
-      retry_penalty[i] = static_cast<TimeNs>(
-          storage_->retry_penalty_ns_total() - penalty_before);
-      group_retry_penalty += retry_penalty[i];
-      crc_penalty[i] =
-          static_cast<TimeNs>(storage_->crc_verify_ns_total() - crc_before);
-      group_crc_penalty += crc_penalty[i];
-      degraded_penalty[i] = static_cast<TimeNs>(
-          storage_->degraded_penalty_ns_total() - degraded_before);
-      group_degraded_penalty += degraded_penalty[i];
-      group_counts.Add(st.gather);
-      lb.batch = std::move(p.batch);
+  // One GatherGroup call per merged group. With coalesce_pages, repeats
+  // across iterations collapse to one round-trip per distinct page;
+  // without it the call equals one gather per iteration. Per-slice counts
+  // keep per-iteration stats exact, and the receipt bills exactly this
+  // call's reads.
+  Workspace<storage::GatherSlice>& slices = gather_slices_;
+  Workspace<storage::FeatureGatherCounts>& slice_counts = slice_counts_;
+  slices.clear();
+  slices.resize(group);
+  slice_counts.clear();
+  slice_counts.resize(group);
+  for (size_t i = 0; i < group; ++i) {
+    const auto& nodes = pending_[i].batch.input_nodes();
+    if (options_.counting_mode) {
+      slices[i] = storage::GatherSlice{nodes, {}};
+    } else {
+      group_batches[i].features.resize(nodes.size() * fs.feature_dim());
+      slices[i] = storage::GatherSlice{
+          nodes, std::span<float>(group_batches[i].features)};
     }
   }
+  storage::GatherReceipt receipt;
+  GIDS_RETURN_IF_ERROR(gatherer_->GatherGroup(
+      std::span<const storage::GatherSlice>(slices.data(), slices.size()),
+      std::span<storage::FeatureGatherCounts>(slice_counts.data(),
+                                              slice_counts.size()),
+      &receipt));
+  storage::FeatureGatherCounts group_counts;
   for (size_t i = 0; i < group; ++i) {
+    group_batches[i].stats.gather = slice_counts[i];
+    group_counts.Add(slice_counts[i]);
+    group_batches[i].batch = std::move(pending_[i].batch);
     // Park consumed Pendings so their seeds vectors keep their capacity
     // (the batch was moved into the LoaderBatch above).
     if (pending_free_.size() < options_.max_merged_iterations * 2) {
@@ -655,133 +563,58 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   }
   pending_.erase(pending_.begin(), pending_.begin() + group);
 
-  if (track_failovers) {
-    const uint64_t fo_delta = storage_->replica_failovers_total() - fo_before;
-    if (fo_delta > 0) {
-      int worst_device = 0;
-      uint64_t worst_device_n = 0;
-      for (int d = 0; d < n_ssd_track; ++d) {
-        const uint64_t n = storage_->failovers_from_device(d) -
-                           fo_from_before[d];
-        if (n > worst_device_n) {
-          worst_device_n = n;
-          worst_device = d;
-        }
-      }
-      int worst_replica = 0;
-      uint64_t worst_replica_n = 0;
-      for (int r = 1; r < n_replicas_track; ++r) {
-        const uint64_t n = storage_->reads_by_replica(r) - fo_by_before[r];
-        if (n > worst_replica_n) {
-          worst_replica_n = n;
-          worst_replica = r;
-        }
-      }
-      loaders::IterationStats& st0 = group_batches[0].stats;
-      st0.failovers = fo_delta;
-      st0.failover_device = worst_device;
-      st0.failover_replica = worst_replica;
-    }
-  }
+  // Failover attribution (FAULTS.md "Durability & failover") is
+  // group-scoped like the kernel, so the group's first iteration carries
+  // it and per-run sums stay exact.
+  loaders::IterationStats& st0 = group_batches[0].stats;
+  st0.failovers = receipt.failovers;
+  st0.failover_device = receipt.failover_device;
+  st0.failover_replica = receipt.failover_replica;
 
-  // --- Timing. One merged kernel with the accumulator; one kernel per
-  // iteration without it.
-  if (options_.use_accumulator) {
-    sim::AggregationCounts ac;
-    ac.gpu_cache_hits = group_counts.gpu_cache_hits;
-    ac.cpu_buffer_hits = group_counts.cpu_buffer_hits;
-    ac.ssd_reads = group_counts.storage_reads;
-    ac.page_bytes = fs.page_bytes();
-    // Only serviced requests occupy queue slots: coalesced-away accesses
-    // piggyback on a sibling's in-flight read and never hit a doorbell.
-    ac.outstanding_accesses = std::min(
-        {group_counts.serviced_page_requests(),
-         accumulator_->CurrentThreshold(), storage_->queue_capacity()});
-    sim::AggregationTiming timing =
-        sim::ComputeAggregationTiming(*system_, ac);
-    // Retries, backoff, and latency spikes extend the merged kernel's
-    // storage phase (FAULTS.md); zero when fault injection is off. The
-    // journaled write path's appends/fsyncs/applies extend it the same
-    // way (the mutation step runs inside the group's preparation).
-    timing.total_ns += group_retry_penalty + group_mutation_ns;
-
-    // Preparation of future iterations and training of earlier ones
-    // overlap the storage waits; GPU compute (sampling + training)
-    // serializes on the SMs.
-    TimeNs group_e2e =
-        std::max(timing.total_ns, group_sampling + group_training);
-    TimeNs per_iter_e2e = group_e2e / static_cast<TimeNs>(group);
-    TimeNs per_iter_agg = timing.total_ns / static_cast<TimeNs>(group);
-    // Cost-ledger attribution (OBSERVABILITY.md): the kernel-phase times
-    // and fault penalties are group-scoped, so each iteration is billed an
-    // equal integer share; sampling/training stay per-iteration exact. The
-    // signed overlap credit absorbs both the path concurrency and the
-    // integer-division residue, making Sum() == e2e_ns exact.
-    const TimeNs g = static_cast<TimeNs>(group);
-    const TimeNs group_backoff_penalty =
-        group_retry_penalty - group_crc_penalty - group_degraded_penalty;
-    for (loaders::LoaderBatch& lb : group_batches) {
-      lb.stats.aggregation_ns = per_iter_agg;
-      lb.stats.e2e_ns = per_iter_e2e;
-      lb.stats.effective_bandwidth_bps = timing.effective_bandwidth_bps;
-      lb.stats.pcie_ingress_bps = timing.pcie_ingress_bps;
-      obs::IterationLedger& led = lb.stats.ledger;
-      led.sampling_ns = lb.stats.sampling_ns;
-      led.training_ns = lb.stats.training_ns;
-      led.cache_hit_ns = timing.hbm_ns / g;
-      led.cpu_buffer_ns = timing.dram_ns / g;
-      led.storage_ns = timing.ssd_ns / g;
-      led.transfer_ns = timing.pcie_floor_ns / g;
-      led.crc_verify_ns = group_crc_penalty / g;
-      led.degraded_fill_ns = group_degraded_penalty / g;
-      led.retry_backoff_ns = group_backoff_penalty / g;
-      led.mutation_ns = group_mutation_ns / g;
-      led.overlap_credit_ns = led.PositiveSum() - lb.stats.e2e_ns;
-    }
-  } else {
-    for (size_t i = 0; i < group_batches.size(); ++i) {
-      loaders::LoaderBatch& lb = group_batches[i];
-      loaders::IterationStats& st = lb.stats;
-      sim::AggregationCounts ac;
-      ac.gpu_cache_hits = st.gather.gpu_cache_hits;
-      ac.cpu_buffer_hits = st.gather.cpu_buffer_hits;
-      ac.ssd_reads = st.gather.storage_reads;
-      ac.page_bytes = fs.page_bytes();
-      ac.outstanding_accesses = std::min(st.gather.serviced_page_requests(),
-                                         storage_->queue_capacity());
-      sim::AggregationTiming timing =
-          sim::ComputeAggregationTiming(*system_, ac);
-      // The group-scoped mutation step is charged to the group's first
-      // iteration (group == 1 without the accumulator, so this is exact).
-      const TimeNs mutation_share = i == 0 ? group_mutation_ns : 0;
-      st.aggregation_ns = timing.total_ns + retry_penalty[i] + mutation_share;
-      st.e2e_ns = st.sampling_ns + st.aggregation_ns + st.training_ns;
-      st.effective_bandwidth_bps = timing.effective_bandwidth_bps;
-      // Per-iteration kernel: the path times are iteration-scoped, so the
-      // overlap credit is exactly the concurrency the max() hid (plus the
-      // floor-of-1 when the kernel moved no data).
-      obs::IterationLedger& led = st.ledger;
-      led.sampling_ns = st.sampling_ns;
-      led.training_ns = st.training_ns;
-      led.cache_hit_ns = timing.hbm_ns;
-      led.cpu_buffer_ns = timing.dram_ns;
-      led.storage_ns = timing.ssd_ns;
-      led.transfer_ns = timing.pcie_floor_ns;
-      led.crc_verify_ns = crc_penalty[i];
-      led.degraded_fill_ns = degraded_penalty[i];
-      led.retry_backoff_ns =
-          retry_penalty[i] - crc_penalty[i] - degraded_penalty[i];
-      led.mutation_ns = mutation_share;
-      led.overlap_credit_ns = led.PositiveSum() - st.e2e_ns;
+  // --- Timing: the group is one aggregation kernel (group == 1 without
+  // the accumulator). The accumulator bounds the in-flight window; the
+  // journaled write step extends the kernel like a storage phase.
+  const uint64_t outstanding_cap =
+      options_.use_accumulator
+          ? std::min(accumulator_->CurrentThreshold(),
+                     storage_->queue_capacity())
+          : storage_->queue_capacity();
+  const storage::GatherCost cost =
+      storage::CostGather(*system_, group_counts, fs.page_bytes(), receipt,
+                          outstanding_cap, group_mutation_ns, group);
+  // With the accumulator, preparation of future iterations and training
+  // of earlier ones overlap the storage waits while GPU compute serializes
+  // on the SMs; the BaM baseline runs sampling, kernel and training back
+  // to back.
+  const TimeNs g = static_cast<TimeNs>(group);
+  const TimeNs group_e2e =
+      options_.use_accumulator
+          ? std::max(cost.kernel_ns, group_sampling + group_training)
+          : group_sampling + cost.kernel_ns + group_training;
+  for (size_t i = 0; i < group; ++i) {
+    loaders::IterationStats& st = group_batches[i].stats;
+    st.aggregation_ns = cost.kernel_ns / g;
+    st.e2e_ns = group_e2e / g;
+    st.effective_bandwidth_bps = cost.timing.effective_bandwidth_bps;
+    st.pcie_ingress_bps = cost.timing.pcie_ingress_bps;
+    if (!options_.use_accumulator) {
       // Without decoupled stages the link idles while the sampling kernel
-      // runs, so the observed data-preparation ingress rate averages over
-      // sampling + aggregation (Fig. 9's no-accumulator bars).
-      TimeNs prep = st.sampling_ns + st.aggregation_ns;
+      // runs, so the observed ingress rate averages over sampling +
+      // aggregation (Fig. 9's no-accumulator bars).
+      const TimeNs prep = st.sampling_ns + st.aggregation_ns;
       st.pcie_ingress_bps =
-          prep > 0 ? static_cast<double>(timing.pcie_ingress_bytes) /
+          prep > 0 ? static_cast<double>(cost.timing.pcie_ingress_bytes) /
                          NsToSec(prep)
                    : 0.0;
     }
+    // Cost ledger (OBSERVABILITY.md): exact integer shares of the
+    // kernel-path components; the signed overlap credit makes
+    // Sum() == e2e_ns exact.
+    obs::IterationLedger& led = st.ledger;
+    led = cost.MemberLedger(i);
+    led.sampling_ns = st.sampling_ns;
+    led.training_ns = st.training_ns;
+    led.overlap_credit_ns = led.PositiveSum() - st.e2e_ns;
   }
 
   // --- Background scrubber (INTEGRITY.md): between iterations, walk a

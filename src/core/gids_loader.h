@@ -119,8 +119,8 @@ struct GidsOptions {
   uint32_t cache_shards = 0;
 
   /// Size-bucketed workspace pooling for the data-preparation hot path
-  /// (DESIGN.md §11): sampler scratch, gather staging, and penalty/slice
-  /// vectors draw pow2-class blocks from the process-wide WorkspacePool,
+  /// (DESIGN.md §11): sampler scratch, gather staging, and slice vectors
+  /// draw pow2-class blocks from the process-wide WorkspacePool,
   /// and consumed LoaderBatches handed back via Recycle() reseed the next
   /// iteration's seed/block/feature storage, so a steady-state epoch
   /// performs zero heap allocations (gids_ws_allocs_total stays flat).
@@ -146,12 +146,8 @@ struct GidsOptions {
   /// Per-attempt probability that the submission queue stalls (the command
   /// is abandoned at io_timeout_ns and retried).
   double stuck_queue_rate = 0.0;
-  /// Striped SSD index to take offline (-1 = none); its pages always
-  /// exhaust retries and degrade (or fail over, with replication). Alias
-  /// for a single-entry offline_devices, kept for compatibility.
-  int offline_device = -1;
-  /// Striped SSD indices to take offline (generalizes offline_device;
-  /// both combine). Empty = none.
+  /// Striped SSD indices to take offline; their pages always exhaust
+  /// retries and degrade (or fail over, with replication). Empty = none.
   std::vector<int> offline_devices;
   /// Virtual-time onset of the outage: the offline set is healthy before
   /// this loader-clock instant and dark from it onward. 0 = offline from
@@ -359,9 +355,6 @@ class GidsLoader : public loaders::DataLoader {
   // the gatherer's members): pool-backed so steady-state groups allocate
   // nothing.
   Workspace<size_t> sample_todo_;
-  Workspace<TimeNs> retry_penalty_;
-  Workspace<TimeNs> crc_penalty_;
-  Workspace<TimeNs> degraded_penalty_;
   Workspace<storage::GatherSlice> gather_slices_;
   Workspace<storage::FeatureGatherCounts> slice_counts_;
   Workspace<storage::SoftwareCache::ScrubResult> scrub_results_;

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/workspace_pool.h"
-#include "sim/aggregation_model.h"
 
 namespace gids::serving {
 
@@ -38,7 +37,6 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
   faults.fault_rate = options_.fault_rate;
   faults.fault_seed = options_.fault_seed;
   faults.corruption_rate = options_.corruption_rate;
-  faults.offline_device = options_.offline_device;
   if (faults.enabled()) {
     array_->EnableFaultInjection(faults, storage::RetryPolicy{});
   }
@@ -134,9 +132,11 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
     for (size_t i = 0; i < k; ++i) sample_one(i);
   }
 
-  // Phase 2 — gather: one GatherGroup scope per batch (coalescing spans
-  // the member requests) or one per request (the per-request baseline).
-  // Counting mode: the timing model only needs the traffic counts.
+  // Phase 2 — gather: one GatherGroup call per batch. With
+  // coalesce_across_requests the gatherer coalesces pages across the
+  // member requests; without it the call equals one uncoalesced gather
+  // per request. Counting mode: the timing model only needs the traffic
+  // counts.
   slice_scratch_.clear();
   for (size_t i = 0; i < k; ++i) {
     slice_scratch_.push_back(storage::GatherSlice{
@@ -144,27 +144,11 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
         std::span<float>()});
   }
   counts_scratch_.assign(k, storage::FeatureGatherCounts{});
-  const uint64_t retry_before = array_->retry_penalty_ns_total();
-  const uint64_t crc_before = array_->crc_verify_ns_total();
-  const uint64_t degraded_before = array_->degraded_penalty_ns_total();
-  if (options_.coalesce_across_requests) {
-    GIDS_CHECK_OK(gatherer_->GatherGroup(
-        slice_scratch_, std::span<storage::FeatureGatherCounts>(
-                            counts_scratch_.data(), k)));
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      GIDS_CHECK_OK(gatherer_->GatherGroup(
-          std::span<const storage::GatherSlice>(&slice_scratch_[i], 1),
-          std::span<storage::FeatureGatherCounts>(&counts_scratch_[i], 1)));
-    }
-  }
-  const TimeNs retry_penalty_ns = static_cast<TimeNs>(
-      array_->retry_penalty_ns_total() - retry_before);
-  const TimeNs crc_penalty_ns =
-      static_cast<TimeNs>(array_->crc_verify_ns_total() - crc_before);
-  const TimeNs degraded_penalty_ns = static_cast<TimeNs>(
-      array_->degraded_penalty_ns_total() - degraded_before);
-
+  storage::GatherReceipt receipt;
+  GIDS_CHECK_OK(gatherer_->GatherGroup(
+      slice_scratch_,
+      std::span<storage::FeatureGatherCounts>(counts_scratch_.data(), k),
+      &receipt));
   storage::FeatureGatherCounts group;
   for (const auto& c : counts_scratch_) group.Add(c);
   result_.gather.Add(group);
@@ -172,26 +156,19 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
   // Phase 3 — timing. The three gather service paths run concurrently in
   // the aggregation kernel; sampling overlaps it on the GPU's other
   // engines; per-request GNN compute follows serially.
-  sim::AggregationCounts agg;
-  agg.gpu_cache_hits = group.gpu_cache_hits;
-  agg.cpu_buffer_hits = group.cpu_buffer_hits;
-  agg.ssd_reads = group.storage_reads;
-  agg.page_bytes = fs_.page_bytes();
-  agg.outstanding_accesses = std::max<uint64_t>(
-      1, std::min<uint64_t>(group.serviced_page_requests(), 4096));
-  sim::AggregationTiming timing = sim::ComputeAggregationTiming(system_, agg);
-
+  const storage::GatherCost cost = storage::CostGather(
+      system_, group, fs_.page_bytes(), receipt, /*outstanding_cap=*/4096,
+      /*mutation_ns=*/0, k);
   TimeNs sampling_sum = 0;
   for (TimeNs s : sampling_ns_scratch_) sampling_sum += s;
   TimeNs train_sum = 0;
-  std::vector<TimeNs> train_ns(k, 0);
+  train_ns_scratch_.assign(k, 0);
   for (size_t i = 0; i < k; ++i) {
-    train_ns[i] = system_.gpu().TrainTime(mb_scratch_[i].num_input_nodes());
-    train_sum += train_ns[i];
+    train_ns_scratch_[i] =
+        system_.gpu().TrainTime(mb_scratch_[i].num_input_nodes());
+    train_sum += train_ns_scratch_[i];
   }
-  const TimeNs gather_ns =
-      timing.total_ns + retry_penalty_ns + degraded_penalty_ns;
-  TimeNs service_ns = std::max(gather_ns, sampling_sum) + train_sum;
+  TimeNs service_ns = std::max(cost.kernel_ns, sampling_sum) + train_sum;
   if (service_ns < 1) service_ns = 1;
   const TimeNs completion_ns = now + service_ns;
 
@@ -200,16 +177,11 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
   sched_.RecordService(completion_ns, service_ns);
 
   // Phase 4 — per-request accounting, decided at dispatch, delivered at
-  // the lane-free event. Shared batch costs split into integer shares;
-  // each request's ledger balances exactly against its own e2e (queue +
-  // batch wait is absorbed by the signed overlap credit).
+  // the lane-free event. Shared batch costs split into exact integer
+  // shares; each request's ledger balances exactly against its own e2e
+  // (queue + batch wait is absorbed by the signed overlap credit).
   done->completion_ns = completion_ns;
   done->outcomes.clear();
-  auto share = [&](TimeNs total, size_t i) {
-    TimeNs base = total / static_cast<TimeNs>(k);
-    TimeNs rem = total % static_cast<TimeNs>(k);
-    return base + (static_cast<TimeNs>(i) < rem ? 1 : 0);
-  };
   for (size_t i = 0; i < k; ++i) {
     const Request& r = batch.requests[i];
     RequestOutcome out;
@@ -220,16 +192,9 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
     out.on_time = completion_ns <= r.deadline_ns;
     done->outcomes.push_back(out);
 
-    obs::IterationLedger ledger;
+    obs::IterationLedger ledger = cost.MemberLedger(i);
     ledger.sampling_ns = sampling_ns_scratch_[i];
-    ledger.cache_hit_ns = share(timing.hbm_ns, i);
-    ledger.cpu_buffer_ns = share(timing.dram_ns, i);
-    ledger.storage_ns = share(timing.ssd_ns, i);
-    ledger.retry_backoff_ns = share(retry_penalty_ns - crc_penalty_ns, i);
-    ledger.crc_verify_ns = share(crc_penalty_ns, i);
-    ledger.degraded_fill_ns = share(degraded_penalty_ns, i);
-    ledger.transfer_ns = share(timing.pcie_floor_ns, i);
-    ledger.training_ns = train_ns[i];
+    ledger.training_ns = train_ns_scratch_[i];
     const TimeNs e2e_ns = completion_ns - r.arrival_ns;
     ledger.overlap_credit_ns = ledger.PositiveSum() - e2e_ns;
     RecordRequestSample(r, completion_ns, counts_scratch_[i], ledger);

@@ -49,9 +49,9 @@ struct ServingOptions {
   uint32_t executor_lanes = 2;
   /// Page coalescing spans the requests of a batch (one GatherGroup
   /// scope per batch: popular pages fetched once per window, not once
-  /// per user). Off gathers per request with coalescing disabled — the
-  /// pre-serving per-request path, kept for the equivalence tests and
-  /// the bench baseline.
+  /// per user). Off turns coalescing off for that one call, which then
+  /// equals the pre-serving per-request path — kept for the equivalence
+  /// tests and the bench baseline.
   bool coalesce_across_requests = true;
   /// Feature vector width of the synthetic feature store.
   uint32_t feature_dim = 128;
@@ -72,7 +72,6 @@ struct ServingOptions {
   uint64_t fault_seed = 0xfa017;
   double corruption_rate = 0.0;
   bool verify_reads = false;
-  int offline_device = -1;
   /// Root seed (cache eviction stream; sampling streams key off request
   /// ids, so they are independent of this).
   uint64_t seed = 0x5e44e;
@@ -135,10 +134,11 @@ struct ServingRunResult {
 /// mini-batch from its id-keyed RNG stream (parallel across requests on
 /// the host pool when the sampler is concurrent-safe), then all input
 /// nodes gather as one GatherGroup scope, so page coalescing spans the
-/// batch's requests. Service time is
-///   max(aggregation + fault/integrity penalties, sum of sampling) +
+/// batch's requests. storage::CostGather, shared with the offline
+/// loader, times that call as one kernel; service time is
+///   max(aggregation + the gather's retry penalty, sum of sampling) +
 ///   sum of per-request GNN compute,
-/// mirroring the offline loader's overlap model. Worker threads only
+/// mirroring the loader's overlap model. Worker threads only
 /// parallelize inside a batch, and the gather is bit-identical at any
 /// thread count, so the whole run is reproducible across host_threads.
 class InferenceServer {
@@ -206,6 +206,7 @@ class InferenceServer {
   // Batch execution scratch, reused across batches.
   std::vector<sampling::MiniBatch> mb_scratch_;
   std::vector<TimeNs> sampling_ns_scratch_;
+  std::vector<TimeNs> train_ns_scratch_;
   std::vector<storage::GatherSlice> slice_scratch_;
   std::vector<storage::FeatureGatherCounts> counts_scratch_;
 

@@ -16,7 +16,8 @@ BamArray::BamArray(StorageArray* storage, SoftwareCache* cache)
 }
 
 Status BamArray::ReadPage(uint64_t page, std::span<std::byte> out,
-                          GatherCounts* counts, uint32_t reuses) {
+                          GatherCounts* counts, uint32_t reuses,
+                          StorageArray::ReadOutcome* oc) {
   GIDS_CHECK(counts != nullptr);
   if (out.size() != page_bytes()) {
     return Status::InvalidArgument("output size must equal page size");
@@ -31,29 +32,31 @@ Status BamArray::ReadPage(uint64_t page, std::span<std::byte> out,
       return Status::OK();
     }
   }
-  StorageArray::ReadOutcome oc;
-  GIDS_RETURN_IF_ERROR(storage_->ReadPage(page, out, &oc));
+  StorageArray::ReadOutcome local;
+  if (oc == nullptr) oc = &local;
+  GIDS_RETURN_IF_ERROR(storage_->ReadPage(page, out, oc));
   ++counts->storage_reads;
   if (cache_ != nullptr) {
     cache_->Insert(page, out,
-                   oc.crc_known ? std::optional<uint32_t>(oc.crc)
-                                : std::nullopt,
-                   oc.served_corrupt);
+                   oc->crc_known ? std::optional<uint32_t>(oc->crc)
+                                 : std::nullopt,
+                   oc->served_corrupt);
   }
   return Status::OK();
 }
 
 Status BamArray::TouchPage(uint64_t page, GatherCounts* counts,
-                           uint32_t reuses) {
+                           uint32_t reuses, StorageArray::ReadOutcome* oc) {
   GIDS_CHECK(counts != nullptr);
   if (cache_ != nullptr && cache_->Touch(page, reuses)) {
     ++counts->cache_hits;
     return Status::OK();
   }
-  StorageArray::ReadOutcome oc;
-  GIDS_RETURN_IF_ERROR(storage_->NoteRead(page, &oc));
+  StorageArray::ReadOutcome local;
+  if (oc == nullptr) oc = &local;
+  GIDS_RETURN_IF_ERROR(storage_->NoteRead(page, oc));
   ++counts->storage_reads;
-  if (cache_ != nullptr) cache_->InsertMeta(page, oc.served_corrupt);
+  if (cache_ != nullptr) cache_->InsertMeta(page, oc->served_corrupt);
   return Status::OK();
 }
 

@@ -40,15 +40,20 @@ class BamArray {
   /// drains from the cache (SoftwareCache::LookupInto): the page-coalesced
   /// gather services one read on behalf of `reuses` coalesced requests.
   /// The default of 1 is the plain uncoalesced access.
+  ///
+  /// `oc`, if given, receives the storage read's outcome (its penalty and
+  /// serving replica, also on a dead-letter); a cache hit leaves it as is.
   Status ReadPage(uint64_t page, std::span<std::byte> out,
-                  GatherCounts* counts, uint32_t reuses = 1);
+                  GatherCounts* counts, uint32_t reuses = 1,
+                  StorageArray::ReadOutcome* oc = nullptr);
 
   /// Counting-mode access: identical cache behaviour (hit/miss, eviction,
   /// reuse-counter consumption) without moving payload bytes. Returns the
   /// same fault/retry outcome ReadPage would (Status::Unavailable on
   /// exhausted retries; failed reads insert no cache metadata). `reuses`
-  /// as in ReadPage.
-  Status TouchPage(uint64_t page, GatherCounts* counts, uint32_t reuses = 1);
+  /// and `oc` as in ReadPage.
+  Status TouchPage(uint64_t page, GatherCounts* counts, uint32_t reuses = 1,
+                   StorageArray::ReadOutcome* oc = nullptr);
 
  private:
   StorageArray* storage_;

@@ -53,21 +53,16 @@ struct FaultOptions {
   /// Probability that an attempt's submission queue stalls: the command is
   /// never completed and the issuer charges a full timeout before retrying.
   double stuck_queue_rate = 0.0;
-  /// Striped device index that is offline (-1 = none). Every attempt
-  /// against a page owned by that device fails; without a replica set its
-  /// reads always exhaust their retries and degrade. Kept as a
-  /// single-device alias of `offline_devices` for existing configs.
-  int offline_device = -1;
-  /// Additional offline striped device indices (set semantics; the
-  /// effective offline set is the union with `offline_device`). Lets
-  /// multi-device loss be expressed, e.g. to take a whole replica group
-  /// down and prove quorum-lost dead-lettering.
+  /// Offline striped device indices (set semantics). Every attempt
+  /// against a page owned by one of them fails; without a replica set its
+  /// reads always exhaust their retries and degrade. Several entries
+  /// express multi-device loss, e.g. a whole replica group down to prove
+  /// quorum-lost dead-lettering.
   std::vector<int> offline_devices;
   /// Virtual-time onset of the offline state: the devices in the offline
   /// set only start failing once the storage array's virtual clock
   /// (StorageArray::AdvanceClock) reaches this instant. The default of 0
-  /// takes them down from the first read, which is bit-identical to the
-  /// pre-onset behaviour of `offline_device`.
+  /// takes them down from the first read.
   TimeNs offline_at_ns = 0;
   /// Probability that a *successful* attempt serves silently corrupted
   /// data: a short burst of bytes in the page is flipped and the command
@@ -78,17 +73,11 @@ struct FaultOptions {
   /// that already failed loudly never also corrupts.
   double corruption_rate = 0.0;
 
-  /// True when any device is configured offline (regardless of onset).
-  bool AnyOffline() const {
-    return offline_device >= 0 || !offline_devices.empty();
-  }
-
   /// True when `device` is offline at virtual time `now_ns`. Pure function
   /// of the options — health views built from it are identical at any
   /// thread count or call order.
   bool DeviceOffline(int device, TimeNs now_ns) const {
     if (now_ns < offline_at_ns) return false;
-    if (offline_device >= 0 && device == offline_device) return true;
     for (int d : offline_devices) {
       if (d == device) return true;
     }
@@ -97,7 +86,8 @@ struct FaultOptions {
 
   bool enabled() const {
     return fault_rate > 0.0 || latency_spike_rate > 0.0 ||
-           stuck_queue_rate > 0.0 || AnyOffline() || corruption_rate > 0.0;
+           stuck_queue_rate > 0.0 || !offline_devices.empty() ||
+           corruption_rate > 0.0;
   }
 };
 

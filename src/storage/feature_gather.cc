@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -37,8 +38,10 @@ uint32_t FeatureGatherer::BucketFor(uint64_t page) const {
 
 Status FeatureGatherer::GatherImpl(
     std::span<const GatherSlice> slices,
-    std::span<FeatureGatherCounts> per_slice_counts) {
+    std::span<FeatureGatherCounts> per_slice_counts,
+    GatherReceipt* receipt) {
   GIDS_CHECK(per_slice_counts.size() == slices.size());
+  if (receipt != nullptr) *receipt = GatherReceipt{};
   // Scratch members are shared across calls; stray concurrent callers
   // serialize here (uncontended in the loader's single-flight pipeline).
   std::lock_guard<std::mutex> gather_lock(gather_mu_);
@@ -60,6 +63,7 @@ Status FeatureGatherer::GatherImpl(
   const uint64_t page_bytes = layout_->page_bytes();
   const uint64_t feat_bytes = layout_->feature_bytes_per_node();
   const SoftwareCache* cache = array_->cache();
+  const StorageArray* ssd_array = array_->storage();
   const uint32_t buckets =
       cache != nullptr ? cache->num_shards() : cacheless_buckets_;
 
@@ -169,6 +173,11 @@ Status FeatureGatherer::GatherImpl(
   bucket_coalesced_.resize(static_cast<size_t>(buckets) * num_slices);
   bucket_distinct_.clear();
   bucket_distinct_.resize(static_cast<size_t>(buckets) * num_slices);
+  const size_t n_ssd = static_cast<size_t>(ssd_array->n_ssd());
+  const size_t fo_cells = ssd_array->replica_set() != nullptr
+                              ? n_ssd + ReplicaSet::kMaxReplicas
+                              : 0;
+  bucket_failovers_.assign(buckets * fo_cells, 0);
   bucket_status_.assign(buckets, Status::OK());
   bucket_scratch_.resize(buckets);
 
@@ -196,12 +205,13 @@ Status FeatureGatherer::GatherImpl(
                      uint32_t reuses, std::byte* page_buf, bool* degraded,
                      bool* corrupt) {
     GatherCounts gc;
+    StorageArray::ReadOutcome oc;
     Status s =
         functional
             ? array_->ReadPage(
                   page, std::span<std::byte>(page_buf, page_bytes), &gc,
-                  reuses)
-            : array_->TouchPage(page, &gc, reuses);
+                  reuses, &oc)
+            : array_->TouchPage(page, &gc, reuses, &oc);
     if (s.code() == StatusCode::kUnavailable) {
       // Retries exhausted (FAULTS.md): serve the page as zeroes and flag
       // the rows rather than failing the whole gather.
@@ -214,6 +224,17 @@ Status FeatureGatherer::GatherImpl(
       bucket_status_[b] = std::move(s);
       return false;
     }
+    // Bill the read to this call's receipt; a dead-lettered read's
+    // non-CRC penalty is degraded service.
+    BucketScratch& bs = bucket_scratch_[b];
+    bs.penalty_ns += oc.penalty_ns;
+    bs.crc_ns += oc.crc_ns;
+    if (*degraded || *corrupt) bs.degraded_ns += oc.penalty_ns - oc.crc_ns;
+    if (oc.served_replica != 0) {
+      uint64_t* cells = bucket_failovers_.data() + b * fo_cells;
+      ++cells[ssd_array->DeviceFor(page)];
+      ++cells[n_ssd + oc.served_replica];
+    }
     GatherCounts& cell = bucket_gc_[static_cast<size_t>(b) * num_slices +
                                     slice];
     cell.cache_hits += gc.cache_hits;
@@ -225,6 +246,7 @@ Status FeatureGatherer::GatherImpl(
     BucketScratch& bs = bucket_scratch_[b];
     bs.degraded.clear();
     bs.corrupt.clear();
+    bs.penalty_ns = bs.crc_ns = bs.degraded_ns = 0;
     bs.page_buf.resize(functional ? page_bytes : 0);
     std::span<const Access> span(seq_.data() + bucket_begin_[b],
                                  bucket_begin_[b + 1] - bucket_begin_[b]);
@@ -354,6 +376,32 @@ Status FeatureGatherer::GatherImpl(
   };
   count_union(&BucketScratch::degraded, &FeatureGatherCounts::degraded_nodes);
   count_union(&BucketScratch::corrupt, &FeatureGatherCounts::corrupt_nodes);
+
+  if (receipt == nullptr) return Status::OK();
+  for (uint32_t b = 0; b < buckets; ++b) {
+    const BucketScratch& bs = bucket_scratch_[b];
+    receipt->retry_penalty_ns += bs.penalty_ns;
+    receipt->crc_verify_ns += bs.crc_ns;
+    receipt->degraded_penalty_ns += bs.degraded_ns;
+  }
+  if (fo_cells > 0) {
+    // Fold every bucket's failover cells into bucket 0's, then name the
+    // busiest from-device and to-replica (max_element: ties to the lowest
+    // index).
+    uint64_t* total = bucket_failovers_.data();
+    for (uint32_t b = 1; b < buckets; ++b) {
+      for (size_t i = 0; i < fo_cells; ++i) {
+        total[i] += bucket_failovers_[b * fo_cells + i];
+      }
+    }
+    uint64_t* to_replica = total + n_ssd;
+    receipt->failovers =
+        std::accumulate(to_replica, total + fo_cells, uint64_t{0});
+    receipt->failover_device =
+        static_cast<int>(std::max_element(total, to_replica) - total);
+    receipt->failover_replica = static_cast<int>(
+        std::max_element(to_replica, total + fo_cells) - to_replica);
+  }
   return Status::OK();
 }
 
@@ -367,7 +415,7 @@ Status FeatureGatherer::Gather(std::span<const graph::NodeId> nodes,
   }
   GatherSlice slice{nodes, out};
   return GatherImpl(std::span<const GatherSlice>(&slice, 1),
-                    std::span<FeatureGatherCounts>(counts, 1));
+                    std::span<FeatureGatherCounts>(counts, 1), nullptr);
 }
 
 Status FeatureGatherer::GatherCountsOnly(
@@ -375,12 +423,12 @@ Status FeatureGatherer::GatherCountsOnly(
   GIDS_CHECK(counts != nullptr);
   GatherSlice slice{nodes, {}};
   return GatherImpl(std::span<const GatherSlice>(&slice, 1),
-                    std::span<FeatureGatherCounts>(counts, 1));
+                    std::span<FeatureGatherCounts>(counts, 1), nullptr);
 }
 
 Status FeatureGatherer::GatherGroup(
     std::span<const GatherSlice> slices,
-    std::span<FeatureGatherCounts> per_slice_counts) {
+    std::span<FeatureGatherCounts> per_slice_counts, GatherReceipt* receipt) {
   if (per_slice_counts.size() != slices.size()) {
     return Status::InvalidArgument("one counts entry per slice required");
   }
@@ -397,7 +445,7 @@ Status FeatureGatherer::GatherGroup(
       return Status::InvalidArgument("output buffer too small");
     }
   }
-  return GatherImpl(slices, per_slice_counts);
+  return GatherImpl(slices, per_slice_counts, receipt);
 }
 
 StatusOr<std::vector<float>> FeatureGatherer::Gather(
@@ -405,6 +453,54 @@ StatusOr<std::vector<float>> FeatureGatherer::Gather(
   std::vector<float> out(nodes.size() * layout_->feature_dim());
   GIDS_RETURN_IF_ERROR(Gather(nodes, std::span<float>(out), counts));
   return out;
+}
+
+obs::IterationLedger GatherCost::MemberLedger(size_t i) const {
+  const TimeNs k = static_cast<TimeNs>(members);
+  auto share = [&](TimeNs total) {
+    return total / k + (static_cast<TimeNs>(i) < total % k ? 1 : 0);
+  };
+  obs::IterationLedger l;
+  l.cache_hit_ns = share(kernel.cache_hit_ns);
+  l.cpu_buffer_ns = share(kernel.cpu_buffer_ns);
+  l.storage_ns = share(kernel.storage_ns);
+  l.retry_backoff_ns = share(kernel.retry_backoff_ns);
+  l.crc_verify_ns = share(kernel.crc_verify_ns);
+  l.degraded_fill_ns = share(kernel.degraded_fill_ns);
+  l.transfer_ns = share(kernel.transfer_ns);
+  l.mutation_ns = share(kernel.mutation_ns);
+  return l;
+}
+
+GatherCost CostGather(const sim::SystemModel& system,
+                      const FeatureGatherCounts& counts, uint32_t page_bytes,
+                      const GatherReceipt& receipt, uint64_t outstanding_cap,
+                      TimeNs mutation_ns, size_t members) {
+  GIDS_CHECK(members > 0);
+  sim::AggregationCounts ac;
+  ac.gpu_cache_hits = counts.gpu_cache_hits;
+  ac.cpu_buffer_hits = counts.cpu_buffer_hits;
+  ac.ssd_reads = counts.storage_reads;
+  ac.page_bytes = page_bytes;
+  ac.outstanding_accesses =
+      std::min(counts.serviced_page_requests(), outstanding_cap);
+  GatherCost c;
+  c.timing = sim::ComputeAggregationTiming(system, ac);
+  // Retries, backoff, spikes and verification extend the kernel's storage
+  // phase (FAULTS.md), and so do the journaled writes of the step.
+  c.kernel_ns = c.timing.total_ns + receipt.retry_penalty_ns + mutation_ns;
+  obs::IterationLedger& k = c.kernel;
+  k.cache_hit_ns = c.timing.hbm_ns;
+  k.cpu_buffer_ns = c.timing.dram_ns;
+  k.storage_ns = c.timing.ssd_ns;
+  k.transfer_ns = c.timing.pcie_floor_ns;
+  k.crc_verify_ns = receipt.crc_verify_ns;
+  k.degraded_fill_ns = receipt.degraded_penalty_ns;
+  k.retry_backoff_ns = receipt.retry_penalty_ns - receipt.crc_verify_ns -
+                       receipt.degraded_penalty_ns;
+  k.mutation_ns = mutation_ns;
+  c.members = members;
+  return c;
 }
 
 }  // namespace gids::storage

@@ -12,6 +12,8 @@
 #include "common/workspace_pool.h"
 #include "graph/feature_store.h"
 #include "graph/types.h"
+#include "obs/ledger.h"
+#include "sim/aggregation_model.h"
 #include "storage/bam_array.h"
 
 namespace gids::storage {
@@ -89,6 +91,58 @@ struct FeatureGatherCounts {
     corrupt_nodes += o.corrupt_nodes;
   }
 };
+
+/// What one GatherGroup call's own storage reads cost beyond fault-free
+/// service (FAULTS.md, INTEGRITY.md). Summed from exactly the reads that
+/// call issued, never from StorageArray's process-wide totals, so two
+/// gatherers sharing one array each get only their own bill. The
+/// sub-ledgers partition the penalty:
+///   retry_penalty = crc_verify + degraded_penalty + backoff/spike rest.
+struct GatherReceipt {
+  TimeNs retry_penalty_ns = 0;
+  /// Checksum-verification time, across served and dead-lettered reads.
+  TimeNs crc_verify_ns = 0;
+  /// Non-CRC penalty of dead-lettered reads (the zero-filled pages).
+  TimeNs degraded_penalty_ns = 0;
+  /// Reads served by a non-primary replica, the striped device most
+  /// failed over FROM and the replica index most failed over TO (ties go
+  /// to the lowest index; both 0 without failovers).
+  uint64_t failovers = 0;
+  int failover_device = 0;
+  int failover_replica = 0;
+
+  bool operator==(const GatherReceipt&) const = default;
+};
+
+/// One gather call costed as one aggregation-kernel execution: §3.2's
+/// accumulator-merged group is a single kernel, so its cost depends only
+/// on that call's traffic and the reads it issued.
+struct GatherCost {
+  sim::AggregationTiming timing;
+  /// timing.total_ns + the receipt's retry penalty + mutation time.
+  TimeNs kernel_ns = 0;
+  /// The call's kernel-path ledger components: cache_hit, cpu_buffer,
+  /// storage, transfer, retry_backoff, crc_verify, degraded_fill and
+  /// mutation. Sampling, training and overlap_credit stay 0.
+  obs::IterationLedger kernel;
+  size_t members = 1;
+
+  /// Member `i`'s exact integer share of `kernel`: total / members, plus
+  /// 1 ns for the first total % members members, so the shares sum to
+  /// each total. The caller adds sampling, training and the overlap
+  /// credit by its own overlap rule.
+  obs::IterationLedger MemberLedger(size_t i) const;
+};
+
+/// The one cost path of both loader modes and the serving tier: times
+/// `counts` as one kernel that keeps at most `outstanding_cap` serviced
+/// accesses in flight (coalesced-away accesses ride a sibling's read and
+/// take no queue slot), extended by the receipt's retry penalty and by
+/// `mutation_ns` of journaled writes, and billed over `members` slices.
+GatherCost CostGather(const sim::SystemModel& system,
+                      const FeatureGatherCounts& counts, uint32_t page_bytes,
+                      const GatherReceipt& receipt, uint64_t outstanding_cap,
+                      TimeNs mutation_ns, size_t members);
 
 /// One node list and its destination rows within a grouped gather. An
 /// empty `out` selects counting mode (no payload movement); all slices of
@@ -184,14 +238,20 @@ class FeatureGatherer {
   /// group's first requester, later members charge coalesced_requests to
   /// their own slice, and degraded/corrupt rows are counted in their own
   /// slice. Summing the entries yields the group totals.
+  ///
+  /// `receipt`, if given, is overwritten with the penalty and failovers of
+  /// the storage reads this call issued. With coalescing off, the receipt
+  /// too equals the sum over one call per slice.
   Status GatherGroup(std::span<const GatherSlice> slices,
-                     std::span<FeatureGatherCounts> per_slice_counts);
+                     std::span<FeatureGatherCounts> per_slice_counts,
+                     GatherReceipt* receipt = nullptr);
 
  private:
   /// Shared two-phase implementation; empty `out` spans select counting
   /// mode (validated by the public entry points).
   Status GatherImpl(std::span<const GatherSlice> slices,
-                    std::span<FeatureGatherCounts> per_slice_counts);
+                    std::span<FeatureGatherCounts> per_slice_counts,
+                    GatherReceipt* receipt);
 
   /// Bucket that owns `page` in phase 2: the cache shard, or a fixed
   /// power-of-two hash bucket when the array is cache-less (the storage
@@ -228,6 +288,10 @@ class FeatureGatherer {
     // zero-allocation gate measures).
     std::vector<RowId> degraded;
     std::vector<RowId> corrupt;
+    // This call's receipt penalties from the bucket's storage reads.
+    TimeNs penalty_ns = 0;
+    TimeNs crc_ns = 0;
+    TimeNs degraded_ns = 0;
   };
 
   const graph::FeatureStore* layout_;
@@ -249,6 +313,9 @@ class FeatureGatherer {
   Workspace<GatherCounts> bucket_gc_;      // buckets x num_slices
   Workspace<uint64_t> bucket_coalesced_;   // buckets x num_slices
   Workspace<uint64_t> bucket_distinct_;    // buckets x num_slices
+  // Failover reads, buckets x (n_ssd primary devices failed over from,
+  // then kMaxReplicas replicas failed over to); empty without replicas.
+  Workspace<uint64_t> bucket_failovers_;
   std::vector<Status> bucket_status_;
   std::vector<BucketScratch> bucket_scratch_;
   std::vector<RowId> merged_rows_;  // count_union scratch (fault paths)

@@ -251,6 +251,8 @@ Status StorageArray::IssueRead(uint64_t page, std::span<std::byte> out,
           // the scrubber) can still catch it.
           oc->served_corrupt = a.corrupt;
           oc->served_replica = replica;
+          oc->penalty_ns = penalty_ns;
+          oc->crc_ns = crc_ns;
           if (!out.empty() && integrity_.enabled()) {
             oc->crc = ExpectedChecksum(page);
             oc->crc_known = true;
@@ -311,6 +313,10 @@ Status StorageArray::IssueRead(uint64_t page, std::span<std::byte> out,
     }
   }
   dead_letters_total_.fetch_add(1, std::memory_order_relaxed);
+  if (oc != nullptr) {
+    oc->penalty_ns = penalty_ns;
+    oc->crc_ns = crc_ns;
+  }
   if (quorum_lost) {
     replica_quorum_lost_total_.fetch_add(1, std::memory_order_relaxed);
   }

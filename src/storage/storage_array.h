@@ -68,6 +68,12 @@ class StorageArray {
     /// primary); only nonzero with replication enabled, where it marks a
     /// failover read.
     int served_replica = 0;
+    /// This read's share of retry_penalty_ns_total / crc_verify_ns_total:
+    /// virtual time beyond one fault-free service, and its checksum-
+    /// verification part. Set on success and on dead-letter alike, so a
+    /// caller can bill exactly the reads it issued (GatherReceipt).
+    TimeNs penalty_ns = 0;
+    TimeNs crc_ns = 0;
   };
 
   /// `num_queues`/`queue_depth` size the per-GPU IO queue pairs (BaM
@@ -224,10 +230,10 @@ class StorageArray {
   }
   /// Total virtual-time penalty of faults across all reads: backoff plus
   /// failed-attempt service/timeout charges plus latency spikes plus
-  /// checksum-verification time. The loader snapshots deltas of this
-  /// ledger around each gather and folds them into the iteration's
-  /// aggregation time, so faults (and verify-on-read overhead) cost
-  /// virtual time end to end (FAULTS.md §2).
+  /// checksum-verification time. A process-wide total for metrics; the
+  /// per-read share travels in ReadOutcome, and each gather bills its own
+  /// reads' shares (GatherReceipt) into its kernel time, so faults (and
+  /// verify-on-read overhead) cost virtual time end to end (FAULTS.md §2).
   uint64_t retry_penalty_ns_total() const {
     return retry_penalty_ns_total_.load(std::memory_order_relaxed);
   }

@@ -95,7 +95,7 @@ std::vector<MatrixConfig> BuildMatrix() {
     o.fault_rate = 0.05;
     o.verify_reads = true;
     o.corruption_rate = 0.02;
-    o.offline_device = 0;
+    o.offline_devices = {0};
     configs.push_back({"gids_coalesced_faults_integrity", o});
   }
   {

@@ -21,6 +21,7 @@
 #include "serving/request_queue.h"
 #include "serving/slo_scheduler.h"
 #include "serving/traffic_gen.h"
+#include "sim/ssd_model.h"
 
 namespace gids::serving {
 namespace {
@@ -344,6 +345,32 @@ TEST(InferenceServerTest, PerRequestLedgersBalanceAgainstE2e) {
   TimeNs ledger_sum = 0;
   for (const auto& w : timeline.windows()) ledger_sum += w.ledger.Sum();
   EXPECT_EQ(ledger_sum, total_e2e);
+}
+
+TEST(InferenceServerTest, DeadLettersBillOnceAsDegradedFill) {
+  // Every attempt fails, so every storage read dead-letters. Its whole
+  // penalty is degraded service: billed once, to degraded_fill, and never
+  // again to retry_backoff.
+  ServingOptions o = SmallServer();
+  o.fault_rate = 1.0;
+  obs::TimeSeries timeline(/*window_ns=*/100 * kNsPerUs);
+  o.latency_timeline = &timeline;
+  ServerRig rig(o, SmallTraffic());
+  // Five failed attempts at the device latency plus the default
+  // 20/40/80/160 us backoffs between them.
+  const TimeNs per_read = 5 * sim::SsdSpec::IntelOptane().read_latency_ns +
+                          (20 + 40 + 80 + 160) * kNsPerUs;
+  ASSERT_EQ(per_read, 355 * kNsPerUs);
+  ASSERT_GT(rig.result.dead_letters, 0u);
+  TimeNs retry_backoff = 0;
+  TimeNs degraded_fill = 0;
+  for (const auto& w : timeline.windows()) {
+    retry_backoff += w.ledger.retry_backoff_ns;
+    degraded_fill += w.ledger.degraded_fill_ns;
+  }
+  EXPECT_EQ(retry_backoff, 0);
+  EXPECT_EQ(degraded_fill,
+            static_cast<TimeNs>(rig.result.dead_letters) * per_read);
 }
 
 TEST(InferenceServerTest, MetricsMatchResultBooks) {

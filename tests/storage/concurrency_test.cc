@@ -1,5 +1,6 @@
-// Concurrency hammering for the lock-striped SoftwareCache and the
-// shard-keyed parallel FeatureGatherer. These tests are built into the
+// Concurrency hammering for the lock-striped SoftwareCache, the
+// shard-keyed parallel FeatureGatherer, and per-call gather receipts on a
+// shared StorageArray. These tests are built into the
 // `concurrency`-labelled test binary so the tsan preset can run exactly
 // this surface under ThreadSanitizer (see CMakePresets.json).
 #include <gtest/gtest.h>
@@ -13,8 +14,12 @@
 #include "common/thread_pool.h"
 #include "graph/feature_store.h"
 #include "storage/bam_array.h"
+#include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
+#include "storage/page_integrity.h"
+#include "storage/replica_set.h"
 #include "storage/software_cache.h"
+#include "storage/storage_array.h"
 
 namespace gids::storage {
 namespace {
@@ -260,6 +265,100 @@ TEST(GatherConcurrencyTest, ConcurrentCallsStayByteCorrect) {
   }
   for (auto& th : callers) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- Per-call receipts on a shared storage array. ----------------------
+
+// Faults, silent corruption caught by verify-on-read, and two dark
+// devices behind 2-way replication: reads retry, repair, dead-letter and
+// fail over, so every GatherReceipt field is exercised.
+std::unique_ptr<StorageArray> ReceiptArray(const graph::FeatureStore& fs) {
+  auto dev = std::make_unique<FunctionBlockDevice>(
+      fs.num_pages(), fs.page_bytes(),
+      [&fs](uint64_t lba, std::span<std::byte> out) { fs.FillPage(lba, out); });
+  auto array = std::make_unique<StorageArray>(
+      std::move(dev), sim::SsdSpec::IntelOptane(), /*n_ssd=*/4);
+  FaultOptions faults;
+  faults.fault_rate = 0.4;
+  faults.corruption_rate = 0.05;
+  faults.offline_devices = {1, 3};
+  array->EnableFaultInjection(faults, RetryPolicy{});
+  IntegrityOptions integrity;
+  integrity.verify_reads = true;
+  array->EnableIntegrity(integrity);
+  ReplicaOptions replicas;
+  replicas.replication_factor = 2;
+  array->EnableReplication(replicas);
+  return array;
+}
+
+// Runs a fixed sequence of two-slice GatherGroup calls through a gatherer
+// stack of its own (cache, BamArray, pool) over `array`, and returns each
+// call's receipt. `which` picks the node lists and the coalescing mode.
+std::vector<GatherReceipt> ReceiptSequence(const graph::FeatureStore& fs,
+                                           StorageArray* array, int which) {
+  ThreadPool pool(2);
+  SoftwareCache cache(/*capacity_bytes=*/32 * fs.page_bytes(),
+                      fs.page_bytes(), /*seed=*/0xcac4e + which,
+                      /*store_payloads=*/true, /*num_shards=*/4);
+  BamArray bam(array, &cache);
+  FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr, &pool,
+                           /*coalesce_pages=*/which == 1);
+  std::vector<GatherReceipt> receipts;
+  for (uint64_t call = 0; call < 6; ++call) {
+    const uint64_t seed = 7000 + 100 * which + 2 * call;
+    auto a = MixedNodeList(fs.num_nodes(), 150, seed);
+    auto b = MixedNodeList(fs.num_nodes(), 150, seed + 1);
+    std::vector<float> out_a(a.size() * fs.feature_dim());
+    std::vector<float> out_b(b.size() * fs.feature_dim());
+    std::vector<GatherSlice> slices = {{a, std::span<float>(out_a)},
+                                       {b, std::span<float>(out_b)}};
+    std::vector<FeatureGatherCounts> counts(2);
+    GatherReceipt receipt;
+    EXPECT_TRUE(gatherer.GatherGroup(slices, counts, &receipt).ok());
+    receipts.push_back(receipt);
+  }
+  return receipts;
+}
+
+// Two gatherers share one storage array and gather concurrently. Each
+// receipt bills exactly its own call's reads: it equals the receipt of
+// the same call replayed alone on a fresh array, and together the
+// receipts partition the shared array's process-wide totals.
+TEST(GatherReceiptConcurrencyTest, SharedArrayReceiptsMatchSoloReplays) {
+  graph::FeatureStore fs(2048, 64);
+  auto shared = ReceiptArray(fs);
+  std::vector<GatherReceipt> concurrent[2];
+  std::thread t0([&] { concurrent[0] = ReceiptSequence(fs, shared.get(), 0); });
+  std::thread t1([&] { concurrent[1] = ReceiptSequence(fs, shared.get(), 1); });
+  t0.join();
+  t1.join();
+
+  GatherReceipt total;
+  for (int which = 0; which < 2; ++which) {
+    auto solo_array = ReceiptArray(fs);
+    std::vector<GatherReceipt> solo =
+        ReceiptSequence(fs, solo_array.get(), which);
+    ASSERT_EQ(concurrent[which].size(), solo.size());
+    for (size_t call = 0; call < solo.size(); ++call) {
+      const GatherReceipt& r = concurrent[which][call];
+      EXPECT_TRUE(r == solo[call]) << "gatherer " << which << " call " << call;
+      total.retry_penalty_ns += r.retry_penalty_ns;
+      total.crc_verify_ns += r.crc_verify_ns;
+      total.degraded_penalty_ns += r.degraded_penalty_ns;
+      total.failovers += r.failovers;
+    }
+  }
+  EXPECT_GT(total.crc_verify_ns, 0);
+  EXPECT_GT(total.degraded_penalty_ns, 0);
+  EXPECT_GT(total.failovers, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(total.retry_penalty_ns),
+            shared->retry_penalty_ns_total());
+  EXPECT_EQ(static_cast<uint64_t>(total.crc_verify_ns),
+            shared->crc_verify_ns_total());
+  EXPECT_EQ(static_cast<uint64_t>(total.degraded_penalty_ns),
+            shared->degraded_penalty_ns_total());
+  EXPECT_EQ(total.failovers, shared->replica_failovers_total());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -90,7 +91,7 @@ TEST(FaultInjectorTest, DecisionsAreDeterministicPerSeed) {
 
 TEST(FaultInjectorTest, OfflineDeviceAlwaysFails) {
   FaultOptions fo;
-  fo.offline_device = 1;
+  fo.offline_devices = {1};
   RetryPolicy rp;
   FaultInjector inj(fo, rp);
   for (uint32_t attempt = 0; attempt < 8; ++attempt) {
@@ -173,7 +174,7 @@ TEST(FaultRetryTest, OfflineDeviceDegradesExactlyItsPages) {
   RetryPolicy rp;
   rp.max_retries = 1;
   FaultOptions fo;
-  fo.offline_device = 1;
+  fo.offline_devices = {1};
   FaultRig rig(fo, rp, /*n_ssd=*/2);
   std::vector<graph::NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   FeatureGatherCounts counts;
@@ -243,6 +244,50 @@ TEST(FaultRetryTest, BackoffVirtualTimeIsReproducible) {
   EXPECT_EQ(serial1, serial2);
   ThreadPool pool(4);
   EXPECT_EQ(run(&pool, 4), serial1);
+}
+
+// A gather's receipt bills exactly the reads its call issued: it matches
+// the array's penalty ledgers, and with coalescing off one grouped call
+// bills what one call per slice does (what lets the loader and the
+// serving tier issue one GatherGroup per kernel).
+TEST(FaultRetryTest, ReceiptBillsExactlyTheCallsReads) {
+  RetryPolicy rp;
+  rp.max_retries = 1;
+  FaultOptions fo;
+  fo.fault_rate = 0.4;
+  FaultRig grouped(fo, rp);
+  FaultRig per_slice(fo, rp);
+  std::vector<graph::NodeId> first(32);
+  std::vector<graph::NodeId> second(48);
+  std::iota(first.begin(), first.end(), 0);
+  std::iota(second.begin(), second.end(), 16);  // overlaps first
+  std::vector<float> out_a(first.size() * 1024);
+  std::vector<float> out_b(second.size() * 1024);
+  std::vector<GatherSlice> slices = {{first, std::span<float>(out_a)},
+                                     {second, std::span<float>(out_b)}};
+  std::vector<FeatureGatherCounts> counts(2);
+  GatherReceipt whole;
+  ASSERT_TRUE(grouped.gatherer->GatherGroup(slices, counts, &whole).ok());
+  EXPECT_GT(whole.degraded_penalty_ns, 0);
+  EXPECT_GT(whole.retry_penalty_ns, whole.degraded_penalty_ns);
+  EXPECT_EQ(static_cast<uint64_t>(whole.retry_penalty_ns),
+            grouped.array->retry_penalty_ns_total());
+  EXPECT_EQ(static_cast<uint64_t>(whole.degraded_penalty_ns),
+            grouped.array->degraded_penalty_ns_total());
+
+  GatherReceipt sum;
+  for (size_t s = 0; s < slices.size(); ++s) {
+    FeatureGatherCounts c;
+    GatherReceipt r;
+    ASSERT_TRUE(per_slice.gatherer
+                    ->GatherGroup(std::span<const GatherSlice>(&slices[s], 1),
+                                  std::span<FeatureGatherCounts>(&c, 1), &r)
+                    .ok());
+    sum.retry_penalty_ns += r.retry_penalty_ns;
+    sum.crc_verify_ns += r.crc_verify_ns;
+    sum.degraded_penalty_ns += r.degraded_penalty_ns;
+  }
+  EXPECT_TRUE(whole == sum);
 }
 
 // Counting mode makes the same fault/retry decisions as the functional

@@ -341,6 +341,59 @@ TEST(GatherGroupTest, RejectsMixedModesAndBadSizes) {
             StatusCode::kInvalidArgument);  // counts span size mismatch
 }
 
+TEST(GatherCostTest, SplitsKernelComponentsIntoExactShares) {
+  const sim::SystemModel system(
+      sim::SystemConfig::Paper(sim::SsdSpec::IntelOptane()));
+  FeatureGatherCounts counts;
+  counts.gpu_cache_hits = 7;
+  counts.cpu_buffer_hits = 5;
+  counts.storage_reads = 11;
+  counts.coalesced_requests = 3;  // rides a sibling's read: no queue slot
+  GatherReceipt receipt;
+  receipt.retry_penalty_ns = 1000;
+  receipt.crc_verify_ns = 101;
+  receipt.degraded_penalty_ns = 400;
+  constexpr size_t kMembers = 3;
+  const GatherCost cost = CostGather(system, counts, 4096, receipt,
+                                     /*outstanding_cap=*/8,
+                                     /*mutation_ns=*/50, kMembers);
+
+  sim::AggregationCounts ac;
+  ac.gpu_cache_hits = 7;
+  ac.cpu_buffer_hits = 5;
+  ac.ssd_reads = 11;
+  ac.page_bytes = 4096;
+  ac.outstanding_accesses = 8;
+  const sim::AggregationTiming timing =
+      sim::ComputeAggregationTiming(system, ac);
+  EXPECT_EQ(cost.timing.total_ns, timing.total_ns);
+  EXPECT_EQ(cost.timing.ssd_ns, timing.ssd_ns);
+  EXPECT_EQ(cost.kernel_ns, timing.total_ns + 1000 + 50);
+  EXPECT_EQ(cost.kernel.storage_ns, timing.ssd_ns);
+  EXPECT_EQ(cost.kernel.retry_backoff_ns, 1000 - 101 - 400);
+  EXPECT_EQ(cost.kernel.crc_verify_ns, 101);
+  EXPECT_EQ(cost.kernel.degraded_fill_ns, 400);
+  EXPECT_EQ(cost.kernel.mutation_ns, 50);
+
+  // Member shares sum to each component exactly; the residue goes to the
+  // first members, one ns each (101 ns = 34 + 34 + 33).
+  obs::IterationLedger sum;
+  for (size_t i = 0; i < kMembers; ++i) {
+    const obs::IterationLedger member = cost.MemberLedger(i);
+    EXPECT_EQ(member.sampling_ns, 0);
+    EXPECT_EQ(member.training_ns, 0);
+    EXPECT_EQ(member.overlap_credit_ns, 0);
+    sum.Add(member);
+  }
+  for (int c = 0; c < obs::IterationLedger::kNumComponents; ++c) {
+    EXPECT_EQ(sum.component(c), cost.kernel.component(c))
+        << obs::IterationLedger::ComponentName(c);
+  }
+  EXPECT_EQ(cost.MemberLedger(0).crc_verify_ns, 34);
+  EXPECT_EQ(cost.MemberLedger(1).crc_verify_ns, 34);
+  EXPECT_EQ(cost.MemberLedger(2).crc_verify_ns, 33);
+}
+
 TEST(BamArrayTest, CachelessArrayAlwaysReadsStorage) {
   graph::FeatureStore fs(10, 1024);
   auto dev = std::make_unique<FunctionBlockDevice>(

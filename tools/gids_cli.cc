@@ -275,8 +275,6 @@ int CmdRun(const Flags& flags) {
     opts.latency_spike_ns =
         UsToNs(flags.GetDouble("latency-spike-us", 500.0));
     opts.stuck_queue_rate = flags.GetDouble("stuck-queue-rate", 0.0);
-    opts.offline_device =
-        static_cast<int>(flags.GetInt("offline-device", -1));
     if (flags.Has("offline-devices")) {
       opts.offline_devices = ParseFanout(flags.Get("offline-devices", ""));
     }
@@ -643,8 +641,8 @@ void Usage() {
       "            (cache replacement/admission policy; see CACHING.md)\n"
       "            --fault-rate F --fault-seed N (storage fault injection)\n"
       "            --latency-spike-rate F --latency-spike-us U\n"
-      "            --stuck-queue-rate F --offline-device D\n"
-      "            --offline-devices D1,D2 --offline-at-us U\n"
+      "            --stuck-queue-rate F --offline-devices D1,D2\n"
+      "            --offline-at-us U\n"
       "            (outage set + virtual-time onset; see FAULTS.md)\n"
       "            --io-max-retries R --io-timeout-us U --io-backoff-us U\n"
       "            (retry/degraded-mode policy; see FAULTS.md)\n"
