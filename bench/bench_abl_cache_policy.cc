@@ -162,7 +162,7 @@ double ReplayPolicy(const std::shared_ptr<const graph::Dataset>& dataset,
           ++cpu_hits;
           continue;
         }
-        if (!cache.Touch(p)) cache.InsertMeta(p);
+        if (!cache.Lookup(p)) cache.Insert(p);
       }
     }
   }

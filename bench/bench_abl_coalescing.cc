@@ -79,7 +79,7 @@ SweepResult RunSweep(uint32_t dim, double skew, bool coalesce,
   for (int i = 0; i < kIterations; ++i) {
     auto nodes = ZipfBatch(rng, skew);
     storage::FeatureGatherCounts c;
-    GIDS_CHECK(gatherer.GatherCountsOnly(nodes, &c).ok());
+    GIDS_CHECK(gatherer.Gather(nodes, {}, &c).ok());
     result.counts.Add(c);
   }
   result.storage_array_reads = array.total_reads();

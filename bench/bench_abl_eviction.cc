@@ -55,7 +55,7 @@ double RandomPolicy(const std::vector<std::vector<uint64_t>>& trace,
       for (uint64_t p : trace[incoming]) cache.AddFutureReuse(p, 1);
     }
     for (uint64_t p : trace[i]) {
-      if (!cache.Touch(p)) cache.InsertMeta(p);
+      if (!cache.Lookup(p)) cache.Insert(p);
     }
   }
   return cache.stats().HitRatio();

@@ -17,7 +17,7 @@
 namespace gids {
 namespace {
 
-void BM_SoftwareCacheTouchInsert(benchmark::State& state) {
+void BM_SoftwareCacheLookupInsert(benchmark::State& state) {
   storage::SoftwareCache cache(
       static_cast<uint64_t>(state.range(0)) * 4096, 4096, /*seed=*/1,
       /*store_payloads=*/false);
@@ -25,11 +25,11 @@ void BM_SoftwareCacheTouchInsert(benchmark::State& state) {
   uint64_t space = state.range(0) * 8;  // 12.5% fits
   for (auto _ : state) {
     uint64_t page = rng.UniformInt(space);
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SoftwareCacheTouchInsert)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_SoftwareCacheLookupInsert)->Arg(1 << 10)->Arg(1 << 16);
 
 void BM_SoftwareCacheWithPinning(benchmark::State& state) {
   storage::SoftwareCache cache(4096 * 4096, 4096, 1, false);
@@ -37,7 +37,7 @@ void BM_SoftwareCacheWithPinning(benchmark::State& state) {
   for (auto _ : state) {
     uint64_t page = rng.UniformInt(32768);
     cache.AddFutureReuse(page, 1);
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
   }
   state.SetItemsProcessed(state.iterations());
 }

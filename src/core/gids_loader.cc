@@ -58,7 +58,6 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
     storage::RetryPolicy retry;
     retry.max_retries = options_.io_max_retries;
     retry.backoff_initial_ns = options_.io_backoff_ns;
-    retry.backoff_cap_ns = options_.io_backoff_cap_ns;
     retry.timeout_ns = options_.io_timeout_ns;
     storage_->EnableFaultInjection(faults, retry);
   }
@@ -92,9 +91,6 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
     storage::JournalOptions jopt;
     GIDS_CHECK(
         storage::ParseDurabilityLevel(options_.durability, &jopt.durability));
-    jopt.append_ns = options_.journal_append_ns;
-    jopt.fsync_ns = options_.journal_fsync_ns;
-    jopt.apply_ns = options_.journal_apply_ns;
     storage_->EnableJournal(jopt);
   }
   if (mut.enabled()) {

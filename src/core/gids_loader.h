@@ -154,12 +154,12 @@ struct GidsOptions {
   /// the start.
   TimeNs offline_at_ns = 0;
   /// Retry policy: attempts = io_max_retries + 1; exponential backoff
-  /// starting at io_backoff_ns (doubling, capped at io_backoff_cap_ns);
-  /// per-attempt command timeout io_timeout_ns. All in virtual time.
+  /// starting at io_backoff_ns (doubling, capped at RetryPolicy's fixed
+  /// backoff_cap_ns); per-attempt command timeout io_timeout_ns. All in
+  /// virtual time.
   uint32_t io_max_retries = 4;
   TimeNs io_timeout_ns = 1 * kNsPerMs;
   TimeNs io_backoff_ns = 20 * kNsPerUs;
-  TimeNs io_backoff_cap_ns = 2 * kNsPerMs;
 
   /// --- End-to-end data integrity (INTEGRITY.md). All defaults keep the
   /// integrity layer disabled; the read path and benchmark output are
@@ -212,10 +212,6 @@ struct GidsOptions {
   /// Records the background applier checkpoints into striped pages per
   /// merged iteration (0 = apply every ready record each step).
   uint64_t journal_apply_budget = 0;
-  /// Modeled virtual-time costs of the journaled write path.
-  TimeNs journal_append_ns = 500;
-  TimeNs journal_fsync_ns = 10 * kNsPerUs;
-  TimeNs journal_apply_ns = 2 * kNsPerUs;
   /// Deterministic crash point: before preparing merged-iteration group
   /// `crash_at_group` (0-based), the loader crashes the journals
   /// (truncating unsynced tails at crash_seed-chosen cuts), recovers,

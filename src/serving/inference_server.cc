@@ -19,8 +19,7 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
                                        options_.n_ssd)),
       fs_(graph->num_nodes(), options_.feature_dim),
       queue_(options_.max_queue_depth),
-      former_(options_.max_batch_requests, options_.batch_window_ns),
-      sched_(options_.service_window_ns) {
+      former_(options_.max_batch_requests, options_.batch_window_ns) {
   GIDS_CHECK(sampler_ != nullptr);
   GIDS_CHECK_MSG(options_.executor_lanes > 0,
                  "InferenceServer requires executor_lanes > 0");
@@ -172,9 +171,9 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
   if (service_ns < 1) service_ns = 1;
   const TimeNs completion_ns = now + service_ns;
 
-  // The scheduler's rolling estimate sees the batch at dispatch, so the
+  // The scheduler's running estimate sees the batch at dispatch, so the
   // in-flight service time already informs feasibility decisions.
-  sched_.RecordService(completion_ns, service_ns);
+  sched_.RecordService(service_ns);
 
   // Phase 4 — per-request accounting, decided at dispatch, delivered at
   // the lane-free event. Shared batch costs split into exact integer

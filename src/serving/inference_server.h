@@ -64,8 +64,6 @@ struct ServingOptions {
   uint32_t host_threads = 1;
   /// Striped SSD count of the storage array.
   int n_ssd = 1;
-  /// Window width of the scheduler's rolling service-time timeline.
-  TimeNs service_window_ns = 1 * kNsPerMs;
   /// --- Fault & integrity injection (FAULTS.md / INTEGRITY.md), same
   /// semantics as the GidsOptions knobs of the same names. Defaults off.
   double fault_rate = 0.0;
@@ -106,7 +104,7 @@ struct ServingRunResult {
   uint64_t storage_array_reads = 0;
   uint64_t dead_letters = 0;
   TimeNs last_completion_ns = 0;
-  /// Final rolling service-time estimates (the scheduler's EDF inputs).
+  /// Final service-time estimates (the scheduler's EDF inputs).
   TimeNs p50_service_estimate_ns = 0;
   TimeNs p99_service_estimate_ns = 0;
   Histogram latency_ns;       // per-request arrival -> completion

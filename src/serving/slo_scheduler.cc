@@ -9,9 +9,6 @@
 
 namespace gids::serving {
 
-SloScheduler::SloScheduler(TimeNs service_window_ns)
-    : service_(service_window_ns) {}
-
 void SloScheduler::Enqueue(FormedBatch batch) {
   backlog_.push_back(std::move(batch));
   if (backlog_.size() > max_backlog_) max_backlog_ = backlog_.size();
@@ -49,22 +46,16 @@ FormedBatch SloScheduler::PopNext(TimeNs now) {
   return out;
 }
 
-void SloScheduler::RecordService(TimeNs completion_ns, TimeNs service_ns) {
-  obs::IterationSample s;
-  s.end_ns = completion_ns;
-  s.e2e_ns = service_ns;
-  s.ledger.storage_ns = service_ns;  // exactly balanced: Sum() == e2e_ns
-  service_.Record(s);
+void SloScheduler::RecordService(TimeNs service_ns) {
+  service_.Add(static_cast<uint64_t>(service_ns));
 }
 
 TimeNs SloScheduler::EstimateP50() const {
-  if (service_.total_iterations() == 0) return 0;
-  return static_cast<TimeNs>(service_.MergedHistogram().Percentile(0.50));
+  return static_cast<TimeNs>(service_.Percentile(0.50));
 }
 
 TimeNs SloScheduler::EstimateP99() const {
-  if (service_.total_iterations() == 0) return 0;
-  return static_cast<TimeNs>(service_.MergedHistogram().Percentile(0.99));
+  return static_cast<TimeNs>(service_.Percentile(0.99));
 }
 
 }  // namespace gids::serving

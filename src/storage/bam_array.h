@@ -31,13 +31,16 @@ class BamArray {
   StorageArray* storage() const { return storage_; }
   SoftwareCache* cache() const { return cache_; }
 
-  /// Reads one page into `out`, counting cache/storage traffic. Under
-  /// fault injection, Status::Unavailable means the storage read exhausted
-  /// its retries (nothing was cached); the gather layer degrades the
-  /// affected rows instead of failing (see FAULTS.md).
+  /// Reads one page into `out`, counting cache/storage traffic. An empty
+  /// `out` is counting mode: the same cache (hit/miss, eviction, reuse
+  /// drain) and storage (fault, retry, verification) decisions with no
+  /// payload bytes moved; a non-empty `out` must be page-sized. Under fault
+  /// injection, Status::Unavailable means the storage read exhausted its
+  /// retries (nothing was cached); the gather layer degrades the affected
+  /// rows instead of failing (see FAULTS.md).
   ///
   /// `reuses` is how many registered window-buffer reuses this access
-  /// drains from the cache (SoftwareCache::LookupInto): the page-coalesced
+  /// drains from the cache (SoftwareCache::Lookup): the page-coalesced
   /// gather services one read on behalf of `reuses` coalesced requests.
   /// The default of 1 is the plain uncoalesced access.
   ///
@@ -46,14 +49,6 @@ class BamArray {
   Status ReadPage(uint64_t page, std::span<std::byte> out,
                   GatherCounts* counts, uint32_t reuses = 1,
                   StorageArray::ReadOutcome* oc = nullptr);
-
-  /// Counting-mode access: identical cache behaviour (hit/miss, eviction,
-  /// reuse-counter consumption) without moving payload bytes. Returns the
-  /// same fault/retry outcome ReadPage would (Status::Unavailable on
-  /// exhausted retries; failed reads insert no cache metadata). `reuses`
-  /// and `oc` as in ReadPage.
-  Status TouchPage(uint64_t page, GatherCounts* counts, uint32_t reuses = 1,
-                   StorageArray::ReadOutcome* oc = nullptr);
 
  private:
   StorageArray* storage_;

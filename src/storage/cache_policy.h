@@ -134,9 +134,9 @@ class CachePolicy {
                               uint64_t* probe_skips) = 0;
 
   /// Access notification (hit or miss), called under the shard lock once
-  /// per Lookup/LookupInto/Touch with the coalesced-group multiplicity
-  /// `reuses` (PR 5: a coalesced group touches each distinct page once
-  /// but drains `reuses` pins). Belady drains its future queue here.
+  /// per SoftwareCache::Lookup with the coalesced-group multiplicity
+  /// `reuses` (a coalesced group touches each distinct page once but
+  /// drains `reuses` pins). Belady drains its future queue here.
   virtual void OnAccess(uint64_t page, uint32_t reuses, bool hit);
 
   /// Placement notifications, called under the shard lock.

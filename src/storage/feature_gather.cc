@@ -36,11 +36,25 @@ uint32_t FeatureGatherer::BucketFor(uint64_t page) const {
          (cacheless_buckets_ - 1);
 }
 
-Status FeatureGatherer::GatherImpl(
+Status FeatureGatherer::GatherGroup(
     std::span<const GatherSlice> slices,
-    std::span<FeatureGatherCounts> per_slice_counts,
-    GatherReceipt* receipt) {
-  GIDS_CHECK(per_slice_counts.size() == slices.size());
+    std::span<FeatureGatherCounts> per_slice_counts, GatherReceipt* receipt) {
+  if (per_slice_counts.size() != slices.size()) {
+    return Status::InvalidArgument("one counts entry per slice required");
+  }
+  const uint32_t dim = layout_->feature_dim();
+  bool functional = false;
+  for (const GatherSlice& sl : slices) functional |= !sl.out.empty();
+  for (const GatherSlice& sl : slices) {
+    if (sl.nodes.empty()) continue;
+    if (functional && sl.out.empty()) {
+      return Status::InvalidArgument(
+          "group mixes functional and counting slices");
+    }
+    if (functional && sl.out.size() < sl.nodes.size() * dim) {
+      return Status::InvalidArgument("output buffer too small");
+    }
+  }
   if (receipt != nullptr) *receipt = GatherReceipt{};
   // Scratch members are shared across calls; stray concurrent callers
   // serialize here (uncontended in the loader's single-flight pipeline).
@@ -57,9 +71,6 @@ Status FeatureGatherer::GatherImpl(
   }
   const size_t n = slice_begin_[num_slices];
   if (n == 0) return Status::OK();
-  bool functional = false;
-  for (const GatherSlice& sl : slices) functional |= !sl.out.empty();
-  const uint32_t dim = layout_->feature_dim();
   const uint64_t page_bytes = layout_->page_bytes();
   const uint64_t feat_bytes = layout_->feature_bytes_per_node();
   const SoftwareCache* cache = array_->cache();
@@ -198,20 +209,16 @@ Status FeatureGatherer::GatherImpl(
                   page_buf + (lo - page_begin), hi - lo);
     }
   };
-  // Services `page` once through the cache/storage path, charging `slice`
-  // and draining `reuses` window pins. Returns false when the bucket must
-  // abort (bucket_status_[b] set).
+  // Services `page` once through the cache/storage path into the bucket's
+  // page buffer (empty in counting mode), charging `slice` and draining
+  // `reuses` window pins. Returns false when the bucket must abort
+  // (bucket_status_[b] set).
   auto service = [&](uint32_t b, uint64_t page, uint32_t slice,
-                     uint32_t reuses, std::byte* page_buf, bool* degraded,
-                     bool* corrupt) {
+                     uint32_t reuses, bool* degraded, bool* corrupt) {
+    BucketScratch& bs = bucket_scratch_[b];
     GatherCounts gc;
     StorageArray::ReadOutcome oc;
-    Status s =
-        functional
-            ? array_->ReadPage(
-                  page, std::span<std::byte>(page_buf, page_bytes), &gc,
-                  reuses, &oc)
-            : array_->TouchPage(page, &gc, reuses, &oc);
+    Status s = array_->ReadPage(page, bs.page_buf.span(), &gc, reuses, &oc);
     if (s.code() == StatusCode::kUnavailable) {
       // Retries exhausted (FAULTS.md): serve the page as zeroes and flag
       // the rows rather than failing the whole gather.
@@ -226,7 +233,6 @@ Status FeatureGatherer::GatherImpl(
     }
     // Bill the read to this call's receipt; a dead-lettered read's
     // non-CRC penalty is degraded service.
-    BucketScratch& bs = bucket_scratch_[b];
     bs.penalty_ns += oc.penalty_ns;
     bs.crc_ns += oc.crc_ns;
     if (*degraded || *corrupt) bs.degraded_ns += oc.penalty_ns - oc.crc_ns;
@@ -255,7 +261,7 @@ Status FeatureGatherer::GatherImpl(
         bool degraded = false;
         bool corrupt = false;
         if (!service(static_cast<uint32_t>(b), a.page, a.slice, 1,
-                     bs.page_buf.data(), &degraded, &corrupt)) {
+                     &degraded, &corrupt)) {
           return;
         }
         if (degraded) bs.degraded.push_back({a.slice, a.node});
@@ -303,8 +309,7 @@ Status FeatureGatherer::GatherImpl(
       bool degraded = false;
       bool corrupt = false;
       if (!service(static_cast<uint32_t>(b), bs.group_pages[g], first.slice,
-                   static_cast<uint32_t>(count), bs.page_buf.data(),
-                   &degraded, &corrupt)) {
+                   static_cast<uint32_t>(count), &degraded, &corrupt)) {
         return;
       }
       // A dead-lettered group charges no traffic counter at all — exactly
@@ -409,43 +414,9 @@ Status FeatureGatherer::Gather(std::span<const graph::NodeId> nodes,
                                std::span<float> out,
                                FeatureGatherCounts* counts) {
   GIDS_CHECK(counts != nullptr);
-  const uint32_t dim = layout_->feature_dim();
-  if (out.size() < nodes.size() * dim) {
-    return Status::InvalidArgument("output buffer too small");
-  }
   GatherSlice slice{nodes, out};
-  return GatherImpl(std::span<const GatherSlice>(&slice, 1),
-                    std::span<FeatureGatherCounts>(counts, 1), nullptr);
-}
-
-Status FeatureGatherer::GatherCountsOnly(
-    std::span<const graph::NodeId> nodes, FeatureGatherCounts* counts) {
-  GIDS_CHECK(counts != nullptr);
-  GatherSlice slice{nodes, {}};
-  return GatherImpl(std::span<const GatherSlice>(&slice, 1),
-                    std::span<FeatureGatherCounts>(counts, 1), nullptr);
-}
-
-Status FeatureGatherer::GatherGroup(
-    std::span<const GatherSlice> slices,
-    std::span<FeatureGatherCounts> per_slice_counts, GatherReceipt* receipt) {
-  if (per_slice_counts.size() != slices.size()) {
-    return Status::InvalidArgument("one counts entry per slice required");
-  }
-  const uint32_t dim = layout_->feature_dim();
-  bool functional = false;
-  for (const GatherSlice& sl : slices) functional |= !sl.out.empty();
-  for (const GatherSlice& sl : slices) {
-    if (sl.nodes.empty()) continue;
-    if (functional && sl.out.empty()) {
-      return Status::InvalidArgument(
-          "group mixes functional and counting slices");
-    }
-    if (functional && sl.out.size() < sl.nodes.size() * dim) {
-      return Status::InvalidArgument("output buffer too small");
-    }
-  }
-  return GatherImpl(slices, per_slice_counts, receipt);
+  return GatherGroup(std::span<const GatherSlice>(&slice, 1),
+                     std::span<FeatureGatherCounts>(counts, 1));
 }
 
 StatusOr<std::vector<float>> FeatureGatherer::Gather(

@@ -211,19 +211,17 @@ class FeatureGatherer {
   /// Not thread-safe against a running gather; flip between gathers only.
   void set_coalesce_pages(bool on) { coalesce_pages_ = on; }
 
-  /// Gathers features for `nodes` into `out` (size >= nodes.size() * dim).
+  /// Gathers features for `nodes` into `out` (size >= nodes.size() * dim):
+  /// a one-slice GatherGroup. An empty `out` is counting mode: identical
+  /// cache/CPU-buffer/storage decisions and counts, no payload movement,
+  /// for runs where only the traffic counts feed the timing models
+  /// (terabyte-scale benchmark runs).
   Status Gather(std::span<const graph::NodeId> nodes, std::span<float> out,
                 FeatureGatherCounts* counts);
 
   /// Convenience: gather into a freshly allocated buffer.
   StatusOr<std::vector<float>> Gather(std::span<const graph::NodeId> nodes,
                                       FeatureGatherCounts* counts);
-
-  /// Counting-mode gather: identical cache/CPU-buffer/storage decisions
-  /// and counts, no payload movement. Used where only the traffic counts
-  /// feed the timing models (terabyte-scale benchmark runs).
-  Status GatherCountsOnly(std::span<const graph::NodeId> nodes,
-                          FeatureGatherCounts* counts);
 
   /// Gathers several node lists as one coalescing scope: the accumulator's
   /// merged iterations present their batches together so repeats *across*
@@ -247,12 +245,6 @@ class FeatureGatherer {
                      GatherReceipt* receipt = nullptr);
 
  private:
-  /// Shared two-phase implementation; empty `out` spans select counting
-  /// mode (validated by the public entry points).
-  Status GatherImpl(std::span<const GatherSlice> slices,
-                    std::span<FeatureGatherCounts> per_slice_counts,
-                    GatherReceipt* receipt);
-
   /// Bucket that owns `page` in phase 2: the cache shard, or a fixed
   /// power-of-two hash bucket when the array is cache-less (the storage
   /// path is commutative, so cache-less bucketing is unconstrained).
@@ -302,7 +294,7 @@ class FeatureGatherer {
   uint32_t cacheless_buckets_ = 1;  // power of two
 
   // Reusable gather scratch, pool-backed so steady-state gathers allocate
-  // nothing. gather_mu_ serializes GatherImpl: the loader already runs one
+  // nothing. gather_mu_ serializes GatherGroup: the loader already runs one
   // gather at a time (class contract above), and the mutex keeps stray
   // concurrent callers correct instead of racing on the scratch.
   std::mutex gather_mu_;

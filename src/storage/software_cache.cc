@@ -102,91 +102,33 @@ bool SoftwareCache::Invalidate(uint64_t page) {
   return true;
 }
 
-const std::byte* SoftwareCache::Lookup(uint64_t page) {
-  GIDS_CHECK(store_payloads_);
+bool SoftwareCache::Lookup(uint64_t page, std::span<std::byte> out,
+                           uint32_t reuses) {
+  GIDS_CHECK(out.empty() || (store_payloads_ && out.size() == line_bytes_));
   Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
   ++sh.stats.lookups;
   auto it = sh.index.find(page);
-  if (it == sh.index.end()) {
-    ++sh.stats.misses;
-    // A missing access still consumes one registered future reuse: the
-    // window counted this very access when the mini-batch entered the
-    // look-ahead window. Without this, miss-path counters never drain and
-    // lines pin forever.
-    ConsumeReuseLocked(sh, page, kNoSlot, 1);
-    policy_->OnAccess(page, 1, false);
-    return nullptr;
-  }
-  if (verify_hit_ && LineCorruptLocked(sh, it->second)) {
+  size_t slot = it == sh.index.end() ? kNoSlot : it->second;
+  if (slot != kNoSlot && verify_hit_ && LineCorruptLocked(sh, slot)) {
     // Mismatched line: quarantine it and serve the access as a miss; the
     // caller re-reads from storage (which repairs) and re-inserts.
     ++sh.stats.quarantines;
-    QuarantineLocked(sh, it->second);
-    ++sh.stats.misses;
-    ConsumeReuseLocked(sh, page, kNoSlot, 1);
-    policy_->OnAccess(page, 1, false);
-    return nullptr;
+    QuarantineLocked(sh, slot);
+    slot = kNoSlot;
   }
-  ++sh.stats.hits;
-  ConsumeReuseLocked(sh, page, it->second, 1);
-  policy_->OnAccess(page, 1, true);
-  return sh.data.data() + it->second * line_bytes_;
-}
-
-bool SoftwareCache::LookupInto(uint64_t page, std::span<std::byte> out,
-                               uint32_t reuses) {
-  GIDS_CHECK(store_payloads_);
-  GIDS_CHECK(out.size() == line_bytes_);
-  Shard& sh = shard_for(page);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  ++sh.stats.lookups;
-  auto it = sh.index.find(page);
-  if (it == sh.index.end()) {
-    ++sh.stats.misses;
-    ConsumeReuseLocked(sh, page, kNoSlot, reuses);
-    policy_->OnAccess(page, reuses, false);
-    return false;
+  const bool hit = slot != kNoSlot;
+  ++(hit ? sh.stats.hits : sh.stats.misses);
+  // A miss still consumes its registered future reuses: the window counted
+  // this very access when the mini-batch entered the look-ahead window.
+  // Without this, miss-path counters never drain and lines pin forever.
+  ConsumeReuseLocked(sh, page, slot, reuses);
+  policy_->OnAccess(page, reuses, hit);
+  if (hit && !out.empty()) {
+    std::memcpy(out.data(), sh.data.data() + slot * line_bytes_,
+                line_bytes_);
   }
-  if (verify_hit_ && LineCorruptLocked(sh, it->second)) {
-    ++sh.stats.quarantines;
-    QuarantineLocked(sh, it->second);
-    ++sh.stats.misses;
-    ConsumeReuseLocked(sh, page, kNoSlot, reuses);
-    policy_->OnAccess(page, reuses, false);
-    return false;
-  }
-  ++sh.stats.hits;
-  ConsumeReuseLocked(sh, page, it->second, reuses);
-  policy_->OnAccess(page, reuses, true);
-  std::memcpy(out.data(), sh.data.data() + it->second * line_bytes_,
-              line_bytes_);
-  return true;
-}
-
-bool SoftwareCache::Touch(uint64_t page, uint32_t reuses) {
-  Shard& sh = shard_for(page);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  ++sh.stats.lookups;
-  auto it = sh.index.find(page);
-  if (it == sh.index.end()) {
-    ++sh.stats.misses;
-    ConsumeReuseLocked(sh, page, kNoSlot, reuses);
-    policy_->OnAccess(page, reuses, false);
-    return false;
-  }
-  if (verify_hit_ && LineCorruptLocked(sh, it->second)) {
-    ++sh.stats.quarantines;
-    QuarantineLocked(sh, it->second);
-    ++sh.stats.misses;
-    ConsumeReuseLocked(sh, page, kNoSlot, reuses);
-    policy_->OnAccess(page, reuses, false);
-    return false;
-  }
-  ++sh.stats.hits;
-  ConsumeReuseLocked(sh, page, it->second, reuses);
-  policy_->OnAccess(page, reuses, true);
-  return true;
+  return hit;
 }
 
 SoftwareCache::ScrubResult SoftwareCache::ScrubShard(uint32_t shard,
@@ -280,13 +222,14 @@ size_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
 
 bool SoftwareCache::Insert(uint64_t page, std::span<const std::byte> payload,
                            std::optional<uint32_t> crc, bool corrupt_hint) {
-  GIDS_CHECK(store_payloads_);
-  GIDS_CHECK(payload.size() == line_bytes_);
+  GIDS_CHECK(payload.empty() ||
+             (store_payloads_ && payload.size() == line_bytes_));
   Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
   if (verify_fill_) {
     bool bad = corrupt_hint;
-    if (!bad && crc.has_value() && checksummer_ != nullptr) {
+    if (!bad && !payload.empty() && crc.has_value() &&
+        checksummer_ != nullptr) {
       bad = checksummer_->Checksum(page, payload.data(), payload.size()) !=
             *crc;
     }
@@ -303,30 +246,16 @@ bool SoftwareCache::Insert(uint64_t page, std::span<const std::byte> payload,
     slot = AcquireSlotLocked(sh, page);
     if (slot == kNoSlot) return false;
   }
-  std::memcpy(sh.data.data() + slot * line_bytes_, payload.data(),
-              line_bytes_);
-  sh.lines[slot].crc = crc.value_or(0);
-  sh.lines[slot].has_crc = crc.has_value();
-  sh.lines[slot].corrupt_hint = corrupt_hint;
-  return true;
-}
-
-bool SoftwareCache::InsertMeta(uint64_t page, bool corrupt_hint) {
-  Shard& sh = shard_for(page);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  if (verify_fill_ && corrupt_hint) {
-    ++sh.stats.fill_rejects;
-    return false;
+  Line& line = sh.lines[slot];
+  if (!payload.empty()) {
+    // Only a payload carries a checksum: a counting-mode insert leaves a
+    // resident line's sum as it is (AcquireSlotLocked clears new lines).
+    std::memcpy(sh.data.data() + slot * line_bytes_, payload.data(),
+                line_bytes_);
+    line.crc = crc.value_or(0);
+    line.has_crc = crc.has_value();
   }
-  auto it = sh.index.find(page);
-  size_t slot;
-  if (it != sh.index.end()) {
-    slot = it->second;
-  } else {
-    slot = AcquireSlotLocked(sh, page);
-    if (slot == kNoSlot) return false;
-  }
-  sh.lines[slot].corrupt_hint = corrupt_hint;
+  line.corrupt_hint = corrupt_hint;
   return true;
 }
 

@@ -41,6 +41,8 @@ struct CacheStats {
   uint64_t scrubbed_lines = 0;  // resident lines scanned by the scrubber
   uint64_t scrub_errors = 0;    // scrubber-found mismatches (quarantined)
 
+  bool operator==(const CacheStats&) const = default;
+
   double HitRatio() const {
     return lookups == 0 ? 0.0
                         : static_cast<double>(hits) /
@@ -81,8 +83,8 @@ class SoftwareCache {
   /// `store_payloads` = false builds a metadata-only cache (same hits,
   /// misses, eviction and pinning behaviour, no line payload memory); used
   /// by the counting-mode gather path that drives the large-scale timing
-  /// benchmarks. Payload accessors (Lookup/Insert) require payload mode;
-  /// Touch/InsertMeta work in both.
+  /// benchmarks. Lookup/Insert with an empty span work in both modes; a
+  /// payload span requires payload mode.
   ///
   /// `num_shards` = 0 picks the shard count automatically (power of two,
   /// at least 256 lines per shard, at most 64 shards). Explicit values
@@ -158,58 +160,38 @@ class SoftwareCache {
   void BindMetrics(obs::MetricRegistry* registry,
                    const obs::Labels& labels) const;
 
-  /// Looks up `page`. On a hit, returns the cached payload and (if the
-  /// line has a positive future-reuse counter) consumes one reuse: when
-  /// the counter drains to zero the line transitions back to Safe to
-  /// Evict. Returns nullptr on miss.
+  /// Looks up `page`: the one read path of both cache modes. On a hit,
+  /// copies the line's payload into `out` under the shard lock and returns
+  /// true; an empty `out` is counting mode (same decisions, no copy). A
+  /// non-empty `out` must be line-sized and needs a payload cache.
   ///
-  /// The returned pointer is only stable until the next insertion into
-  /// the owning shard — serial callers only. Concurrent readers must use
-  /// LookupInto, which copies under the shard lock.
-  const std::byte* Lookup(uint64_t page);
-
-  /// Concurrency-safe Lookup: on a hit, copies the payload into `out`
-  /// (size == line_bytes) while holding the shard lock and returns true.
-  /// Same stats and reuse-counter semantics as Lookup.
-  ///
-  /// `reuses` is the number of window-buffer future-reuse registrations
+  /// Hit or miss, the access consumes up to `reuses` registered future
+  /// reuses; when the counter drains to zero the line transitions back to
+  /// Safe to Evict. `reuses` is the number of window-buffer registrations
   /// this access stands for: a page-coalesced gather services one access
   /// on behalf of `reuses` registered (node, page) requests and must drain
   /// all of them at once, or lines would stay pinned forever (see
   /// DESIGN.md §10). The default of 1 is the uncoalesced access.
-  bool LookupInto(uint64_t page, std::span<std::byte> out,
-                  uint32_t reuses = 1);
+  bool Lookup(uint64_t page, std::span<std::byte> out = {},
+              uint32_t reuses = 1);
 
   /// True if `page` is resident (no stats or reuse-counter side effects).
   bool Contains(uint64_t page) const;
 
-  /// Metadata-mode lookup: identical hit/miss/reuse semantics to Lookup
-  /// but returns only whether the page was resident. `reuses` as in
-  /// LookupInto (future reuses drained by this access).
-  bool Touch(uint64_t page, uint32_t reuses = 1);
-
-  /// Metadata-mode insert: identical placement/eviction semantics to
-  /// Insert without a payload. Returns true if resident after the call.
-  /// `corrupt_hint` mirrors the functional path's taint tracking: it
-  /// marks the (absent) payload as silently corrupt, so counting-mode
-  /// verify points make the same reject/quarantine decisions a functional
-  /// run's CRC compares would.
-  bool InsertMeta(uint64_t page, bool corrupt_hint = false);
-
   bool store_payloads() const { return store_payloads_; }
 
-  /// Inserts `page` with the given payload (size == line_bytes). If the
-  /// shard is full, random probing evicts a Safe-to-Evict victim; after
-  /// `max_probes` pinned probes the insertion is bypassed. Inserting a
-  /// resident page refreshes its payload.
-  /// Returns true if the page is resident after the call.
+  /// Inserts `page`. If the shard is full, random probing evicts a
+  /// Safe-to-Evict victim; after `max_probes` pinned probes the insertion
+  /// is bypassed. Returns true if the page is resident after the call.
   ///
-  /// `crc` is the payload's write-time checksum (StorageArray's
-  /// ReadOutcome), stored on the line for hit-time and scrub
-  /// verification; `corrupt_hint` tags a payload known to be silently
-  /// corrupt (verification off at the storage level). Callers outside the
-  /// integrity configuration can ignore both defaults.
-  bool Insert(uint64_t page, std::span<const std::byte> payload,
+  /// A line-sized `payload` (payload cache only) is copied into the line
+  /// with its write-time checksum `crc` (StorageArray's ReadOutcome) for
+  /// hit-time and scrub verification. An empty `payload` is counting mode:
+  /// the same placement decisions, and a resident line keeps its bytes and
+  /// checksum. `corrupt_hint` tags the (possibly absent) payload as served
+  /// silently corrupt, so counting-mode verify points reject and
+  /// quarantine exactly where a byte-moving run's CRC compares would.
+  bool Insert(uint64_t page, std::span<const std::byte> payload = {},
               std::optional<uint32_t> crc = std::nullopt,
               bool corrupt_hint = false);
 
@@ -256,7 +238,7 @@ class SoftwareCache {
     uint32_t crc = 0;
     bool has_crc = false;
     /// Counting-mode taint: the payload this line stands for was served
-    /// silently corrupt (see InsertMeta).
+    /// silently corrupt (see Insert's `corrupt_hint`).
     bool corrupt_hint = false;
   };
 

@@ -168,8 +168,8 @@ uint32_t StorageArray::ExpectedChecksum(uint64_t page) {
   return crc;
 }
 
-Status StorageArray::IssueRead(uint64_t page, std::span<std::byte> out,
-                               ReadOutcome* oc) {
+Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
+                              ReadOutcome* oc) {
   const bool verify = integrity_.verify_reads;
   if (injector_ == nullptr && !verify) {
     // Fault-free fast path: one doorbell, one (optional) device read.
@@ -343,12 +343,6 @@ Status StorageArray::IssueRead(uint64_t page, std::span<std::byte> out,
   return Status::Unavailable("page " + std::to_string(page) + ": " +
                              std::to_string(attempts) +
                              " attempts failed (dead-lettered)");
-}
-
-Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
-                              ReadOutcome* oc) {
-  GIDS_CHECK(!out.empty());
-  return IssueRead(page, out, oc);
 }
 
 void StorageArray::BindMetrics(obs::MetricRegistry* registry,

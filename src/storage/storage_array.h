@@ -172,26 +172,22 @@ class StorageArray {
   /// safe; the applier invalidates the memo of every page it rewrites.
   uint32_t ExpectedChecksum(uint64_t page);
 
-  /// Functional read of one page. Under fault injection, retries
+  /// Reads one page into `out`. Under fault injection, retries
   /// transparently; Status::Unavailable means the retries were exhausted
   /// (dead-lettered) and `out` holds no valid data; Status::DataLoss means
   /// the page was served but never verified clean (unrepairable silent
   /// corruption). `oc`, if given, receives the integrity side-channel.
+  ///
+  /// An empty `out` is counting mode (the large-scale timing benchmarks):
+  /// the access is recorded and drives the queue pair without moving
+  /// bytes, with identical retry/fault/verification decisions (corruption
+  /// detection is modeled off the injector's decision, which the CRC
+  /// compare reproduces exactly — see FaultInjector::Corrupt), so counting
+  /// and byte-moving runs report the same retry/timeout/repair/dead-letter
+  /// counters. Thread-safe: counters are atomic sums, so totals are
+  /// independent of the order concurrent gather shards issue their reads.
   Status ReadPage(uint64_t page, std::span<std::byte> out,
                   ReadOutcome* oc = nullptr);
-
-  /// Counting-mode read: records the access and drives the queue pair
-  /// without moving bytes (used by the large-scale timing benchmarks).
-  /// Identical retry/fault/verification decisions to ReadPage (corruption
-  /// detection is modeled off the injector's decision, which the CRC
-  /// compare reproduces exactly — see FaultInjector::Corrupt), so
-  /// counting and functional runs report the same retry/timeout/repair/
-  /// dead-letter counters. Thread-safe: counters are atomic sums, so
-  /// totals are independent of the order concurrent gather shards issue
-  /// their reads in.
-  Status NoteRead(uint64_t page, ReadOutcome* oc = nullptr) {
-    return IssueRead(page, {}, oc);
-  }
 
   const QueueManager& queues() const { return queues_; }
   /// Maximum storage accesses that can be in flight across all queues.
@@ -305,8 +301,6 @@ class StorageArray {
                    bool attribution_series = false);
 
  private:
-  /// Shared fast/retry read path. An empty `out` span is counting mode.
-  Status IssueRead(uint64_t page, std::span<std::byte> out, ReadOutcome* oc);
   /// Allocates the lazy expected-checksum table on first use.
   void EnsureChecksumTable();
   /// Ground-truth page contents: the backing device patched with the

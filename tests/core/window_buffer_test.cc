@@ -74,7 +74,7 @@ TEST(WindowBufferTest, CountersDrainThroughGather) {
   window.Register(batch);
   for (graph::NodeId v : batch.input_nodes()) {
     uint64_t page = fs.PagesFor(v).first;
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
   }
   EXPECT_EQ(cache.pinned_lines(), 0u);
   for (graph::NodeId v : batch.input_nodes()) {

@@ -116,7 +116,7 @@ FormedBatch Batch(uint64_t id, TimeNs close_ns, TimeNs deadline) {
 }
 
 TEST(SloSchedulerTest, EarliestDeadlineFirst) {
-  SloScheduler s(1000000);
+  SloScheduler s;
   s.Enqueue(Batch(0, 10, 5000));
   s.Enqueue(Batch(1, 20, 2000));  // tighter deadline, later arrival
   s.Enqueue(Batch(2, 30, 9000));
@@ -128,9 +128,9 @@ TEST(SloSchedulerTest, EarliestDeadlineFirst) {
 }
 
 TEST(SloSchedulerTest, InfeasibleBatchesServeLast) {
-  SloScheduler s(1000000);
+  SloScheduler s;
   // One recorded service of 3000ns makes the rolling p50 estimate 3000.
-  s.RecordService(/*completion_ns=*/5000, /*service_ns=*/3000);
+  s.RecordService(/*service_ns=*/3000);
   EXPECT_EQ(s.EstimateP50(), 3000);
   // At now=1000: batch 0's deadline (2000) < now + p50 (4000) => doomed;
   // batch 1's deadline (6000) is feasible. Plain EDF would pick 0 first.
@@ -141,17 +141,19 @@ TEST(SloSchedulerTest, InfeasibleBatchesServeLast) {
 }
 
 TEST(SloSchedulerTest, OutOfOrderServiceRecordsFold) {
-  SloScheduler s(1000);
-  // Lane completions recorded out of time order (the TimeSeries bugfix).
-  s.RecordService(5000, 400);
-  s.RecordService(1500, 200);
-  s.RecordService(3500, 300);
-  EXPECT_EQ(s.service_timeline().total_iterations(), 3u);
-  const auto& w = s.service_timeline().windows();
-  for (size_t i = 1; i < w.size(); ++i) {
-    EXPECT_LT(w[i - 1].index, w[i].index);
+  // Lanes retire out of order, so the estimate must depend only on the
+  // recorded samples, not on the order they arrive in.
+  const std::vector<TimeNs> samples = {400, 200, 300, 9000, 250, 310};
+  SloScheduler in_order;
+  SloScheduler reversed;
+  for (TimeNs v : samples) in_order.RecordService(v);
+  for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
+    reversed.RecordService(*it);
   }
-  EXPECT_GE(s.EstimateP99(), s.EstimateP50());
+  EXPECT_EQ(in_order.EstimateP50(), reversed.EstimateP50());
+  EXPECT_EQ(in_order.EstimateP99(), reversed.EstimateP99());
+  EXPECT_GT(in_order.EstimateP50(), 0);
+  EXPECT_GT(in_order.EstimateP99(), in_order.EstimateP50());
 }
 
 // --- TrafficGenerator ------------------------------------------------------

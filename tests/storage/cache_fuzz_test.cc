@@ -21,8 +21,8 @@ struct ReferenceModel {
   std::set<uint64_t> resident;
   std::map<uint64_t, uint32_t> reuse;
 
-  // Mirrors Touch(): returns expected hit flag and drains one reuse.
-  bool Touch(uint64_t page) {
+  // Mirrors Lookup(): returns expected hit flag and drains one reuse.
+  bool Lookup(uint64_t page) {
     bool hit = resident.count(page) > 0;
     auto it = reuse.find(page);
     if (it != reuse.end()) {
@@ -62,12 +62,12 @@ TEST(CacheFuzzTest, LongRandomOpSequenceStaysConsistent) {
       case 1:
       case 2:
       case 3:
-      case 4: {  // access (touch + insert on miss), the gather path
-        bool expect_hit = ref.Touch(page);
-        bool hit = cache.Touch(page);
+      case 4: {  // access (lookup + insert on miss), the gather path
+        bool expect_hit = ref.Lookup(page);
+        bool hit = cache.Lookup(page);
         ASSERT_EQ(hit, expect_hit) << "op " << op << " page " << page;
         if (!hit) {
-          bool inserted = cache.InsertMeta(page);
+          bool inserted = cache.Insert(page);
           ref.OnEvictionsObserved(cache);
           ref.OnInsertResult(page, inserted);
         }
@@ -126,7 +126,7 @@ TEST(CacheFuzzTest, HeavyPinningNeverDeadlocksInserts) {
   for (int op = 0; op < 20000; ++op) {
     uint64_t page = rng.UniformInt(64);
     cache.AddFutureReuse(page, 2);
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
     ASSERT_LE(cache.resident_lines(), 32u);
   }
   EXPECT_GE(cache.stats().lookups, 20000u);

@@ -67,7 +67,7 @@ CacheStats DriveStream(CachePolicy* policy, uint64_t seed,
   for (int i = 0; i < 4000; ++i) {
     uint64_t page = rng.UniformInt(400);
     if (i % 3 == 0) cache.AddFutureReuse(page, 1);
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
   }
   return cache.stats();
 }
@@ -121,11 +121,11 @@ TEST(CachePolicyContractTest, PinnedLinesSurviveEvictionPressure) {
                         /*num_shards=*/1, policy.get());
     for (uint64_t p = 1; p <= 4; ++p) {
       cache.AddFutureReuse(p, 1);
-      ASSERT_TRUE(cache.InsertMeta(p)) << CachePolicyKindName(kind);
+      ASSERT_TRUE(cache.Insert(p)) << CachePolicyKindName(kind);
     }
-    for (uint64_t p = 100; p < 140; ++p) cache.InsertMeta(p);
+    for (uint64_t p = 100; p < 140; ++p) cache.Insert(p);
     for (uint64_t p = 1; p <= 4; ++p) {
-      EXPECT_TRUE(cache.Touch(p))
+      EXPECT_TRUE(cache.Lookup(p))
           << CachePolicyKindName(kind) << " lost pinned page " << p;
     }
   }
@@ -141,11 +141,11 @@ TEST(CachePolicyContractTest, QuarantineSurvivesPolicySwap) {
                         /*num_shards=*/1, policy.get());
     cache.EnableIntegrity(/*checksummer=*/nullptr, /*verify_fill=*/false,
                           /*verify_hit=*/true);
-    ASSERT_TRUE(cache.InsertMeta(7, /*corrupt_hint=*/true));
-    EXPECT_FALSE(cache.Touch(7)) << CachePolicyKindName(kind);
+    ASSERT_TRUE(cache.Insert(7, {}, std::nullopt, /*corrupt_hint=*/true));
+    EXPECT_FALSE(cache.Lookup(7)) << CachePolicyKindName(kind);
     EXPECT_EQ(cache.stats().quarantines, 1u) << CachePolicyKindName(kind);
-    ASSERT_TRUE(cache.InsertMeta(7));
-    EXPECT_TRUE(cache.Touch(7)) << CachePolicyKindName(kind);
+    ASSERT_TRUE(cache.Insert(7));
+    EXPECT_TRUE(cache.Lookup(7)) << CachePolicyKindName(kind);
   }
 }
 

@@ -44,11 +44,11 @@ TEST(CacheConcurrencyTest, DisjointHammerExactTotals) {
     threads.emplace_back([&cache, t] {
       uint64_t base = static_cast<uint64_t>(t) * kPagesPerThread;
       for (uint64_t p = base; p < base + kPagesPerThread; ++p) {
-        EXPECT_FALSE(cache.Touch(p));  // cold miss
-        EXPECT_TRUE(cache.InsertMeta(p));
-        EXPECT_TRUE(cache.Touch(p));  // hit
+        EXPECT_FALSE(cache.Lookup(p));  // cold miss
+        EXPECT_TRUE(cache.Insert(p));
+        EXPECT_TRUE(cache.Lookup(p));  // hit
         cache.AddFutureReuse(p, 2);
-        EXPECT_TRUE(cache.Touch(p));  // hit; consumes one of two reuses
+        EXPECT_TRUE(cache.Lookup(p));  // hit; consumes one of two reuses
       }
     });
   }
@@ -88,9 +88,9 @@ TEST(CacheConcurrencyTest, OverlappingHammerConservesCounts) {
       // Pair t with t^1: both walk the same page range, interleaved.
       uint64_t base = static_cast<uint64_t>(t / 2) * kPages;
       for (uint64_t p = base; p < base + kPages; ++p) {
-        if (!cache.Touch(p)) cache.InsertMeta(p);
+        if (!cache.Lookup(p)) cache.Insert(p);
         cache.AddFutureReuse(p, 1);
-        cache.Touch(p);
+        cache.Lookup(p);
       }
     });
   }
@@ -110,7 +110,7 @@ TEST(CacheConcurrencyTest, OverlappingHammerConservesCounts) {
   EXPECT_LE(cache.resident_lines(), cache.capacity_lines());
 }
 
-// Payload mode under concurrent Insert/LookupInto: readers must never see
+// Payload mode under concurrent Insert/Lookup: readers must never see
 // torn lines — every successful lookup returns a byte pattern that some
 // complete Insert wrote for that page.
 TEST(CacheConcurrencyTest, LookupIntoNeverTears) {
@@ -137,7 +137,7 @@ TEST(CacheConcurrencyTest, LookupIntoNeverTears) {
         for (auto& b : payload) b = fill;
         cache.Insert(page, payload);
         uint64_t probe = (t * 17 + r * 3) % kPages;
-        if (cache.LookupInto(probe, got)) {
+        if (cache.Lookup(probe, got)) {
           std::byte want = static_cast<std::byte>(probe & 0xff);
           for (auto b : got) {
             if (b != want) torn.store(true);

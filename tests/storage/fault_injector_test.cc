@@ -302,7 +302,7 @@ TEST(FaultRetryTest, CountingModeMatchesFunctionalCounters) {
   auto nodes = AllNodes();
   FeatureGatherCounts fc, cc;
   ASSERT_TRUE(functional.gatherer->Gather(nodes, &fc).ok());
-  ASSERT_TRUE(counting.gatherer->GatherCountsOnly(nodes, &cc).ok());
+  ASSERT_TRUE(counting.gatherer->Gather(nodes, {}, &cc).ok());
   EXPECT_EQ(fc.degraded_nodes, cc.degraded_nodes);
   EXPECT_EQ(fc.storage_reads, cc.storage_reads);
   EXPECT_EQ(functional.array->retries_total(),

@@ -168,7 +168,7 @@ TEST(FeatureGatherTest, CountsOnlyMatchesFullGather) {
     FeatureGatherCounts a;
     FeatureGatherCounts b;
     ASSERT_TRUE(full_rig.gatherer->Gather(nodes, &a).ok());
-    ASSERT_TRUE(count_rig.gatherer->GatherCountsOnly(nodes, &b).ok());
+    ASSERT_TRUE(count_rig.gatherer->Gather(nodes, {}, &b).ok());
     ASSERT_EQ(a.gpu_cache_hits, b.gpu_cache_hits) << "round " << round;
     ASSERT_EQ(a.storage_reads, b.storage_reads) << "round " << round;
   }
@@ -252,7 +252,7 @@ TEST(CoalescingGatherTest, CountsOnlyMatchesFullGather) {
     FeatureGatherCounts a;
     FeatureGatherCounts b;
     ASSERT_TRUE(full_rig.gatherer->Gather(nodes, &a).ok());
-    ASSERT_TRUE(count_rig.gatherer->GatherCountsOnly(nodes, &b).ok());
+    ASSERT_TRUE(count_rig.gatherer->Gather(nodes, {}, &b).ok());
     ASSERT_EQ(a.gpu_cache_hits, b.gpu_cache_hits) << "round " << round;
     ASSERT_EQ(a.storage_reads, b.storage_reads) << "round " << round;
     ASSERT_EQ(a.coalesced_requests, b.coalesced_requests) << "round " << round;

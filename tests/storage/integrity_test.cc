@@ -207,7 +207,7 @@ TEST(IntegrityTest, UnrepairableReadSurfacesDataLoss) {
   std::vector<std::byte> buf(rig.fs.page_bytes());
   Status s = rig.array->ReadPage(0, buf);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
-  Status counting = rig.array->NoteRead(1);
+  Status counting = rig.array->ReadPage(1, {});
   EXPECT_EQ(counting.code(), StatusCode::kDataLoss);
 }
 
@@ -226,7 +226,7 @@ TEST(IntegrityTest, CountingModeMatchesFunctionalCounters) {
   auto nodes = AllNodes();
   FeatureGatherCounts fc, cc;
   ASSERT_TRUE(functional.gatherer->Gather(nodes, &fc).ok());
-  ASSERT_TRUE(counting.gatherer->GatherCountsOnly(nodes, &cc).ok());
+  ASSERT_TRUE(counting.gatherer->Gather(nodes, {}, &cc).ok());
   EXPECT_EQ(fc.corrupt_nodes, cc.corrupt_nodes);
   EXPECT_EQ(fc.degraded_nodes, cc.degraded_nodes);
   EXPECT_EQ(functional.array->verified_reads_total(),
@@ -253,7 +253,7 @@ TEST(CacheIntegrityTest, FillVerificationRejectsCorruptPayloads) {
   EXPECT_FALSE(cache.Contains(6));
   // Corrupt-hinted fills (counting mode) are rejected too.
   EXPECT_FALSE(cache.Insert(7, payload, std::nullopt, /*corrupt_hint=*/true));
-  EXPECT_FALSE(cache.InsertMeta(8, /*corrupt_hint=*/true));
+  EXPECT_FALSE(cache.Insert(8, {}, std::nullopt, /*corrupt_hint=*/true));
   EXPECT_EQ(cache.stats().fill_rejects, 3u);
   // A checksum-less clean insert is allowed (no sum to verify against).
   EXPECT_TRUE(cache.Insert(9, payload));
@@ -269,7 +269,8 @@ TEST(CacheIntegrityTest, HitVerificationQuarantinesMismatchedLines) {
   ASSERT_TRUE(cache.Insert(5, payload, cs.Checksum(5, payload) ^ 1));
   ASSERT_TRUE(cache.Contains(5));
   cache.AddFutureReuse(5, 2);  // pin survives the quarantine
-  EXPECT_EQ(cache.Lookup(5), nullptr);  // hit becomes a quarantined miss
+  std::vector<std::byte> got(64);
+  EXPECT_FALSE(cache.Lookup(5, got));  // hit becomes a quarantined miss
   EXPECT_FALSE(cache.Contains(5));
   EXPECT_EQ(cache.stats().quarantines, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -277,7 +278,8 @@ TEST(CacheIntegrityTest, HitVerificationQuarantinesMismatchedLines) {
   // The repairing re-insert re-pins via the surviving future-reuse entry.
   ASSERT_TRUE(cache.Insert(5, payload, cs.Checksum(5, payload)));
   EXPECT_EQ(cache.pinned_lines(), 1u);
-  EXPECT_NE(cache.Lookup(5), nullptr);
+  EXPECT_TRUE(cache.Lookup(5, got));
+  EXPECT_EQ(got, payload);
 }
 
 TEST(CacheIntegrityTest, ScrubFindsAndQuarantinesRottenLines) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace gids::storage {
@@ -13,12 +14,12 @@ std::vector<std::byte> Payload(uint32_t line_bytes, uint8_t fill) {
 
 TEST(SoftwareCacheTest, MissThenHit) {
   SoftwareCache cache(4 * 64, 64);
-  EXPECT_EQ(cache.Lookup(7), nullptr);
+  std::vector<std::byte> line(64);
+  EXPECT_FALSE(cache.Lookup(7, line));
   auto p = Payload(64, 0xab);
   EXPECT_TRUE(cache.Insert(7, p));
-  const std::byte* line = cache.Lookup(7);
-  ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line[0], std::byte{0xab});
+  ASSERT_TRUE(cache.Lookup(7, line));
+  EXPECT_EQ(line, p);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -42,9 +43,9 @@ TEST(SoftwareCacheTest, ReinsertRefreshesPayload) {
   ASSERT_TRUE(cache.Insert(1, Payload(64, 0x01)));
   ASSERT_TRUE(cache.Insert(1, Payload(64, 0x02)));
   EXPECT_EQ(cache.resident_lines(), 1u);
-  const std::byte* line = cache.Lookup(1);
-  ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line[0], std::byte{0x02});
+  std::vector<std::byte> line(64);
+  ASSERT_TRUE(cache.Lookup(1, line));
+  EXPECT_EQ(line, Payload(64, 0x02));
 }
 
 TEST(SoftwareCacheTest, PinnedLinesAreNeverEvicted) {
@@ -112,22 +113,70 @@ TEST(SoftwareCacheTest, ClearFutureReuseUnpinsEverything) {
 }
 
 TEST(SoftwareCacheTest, MetadataModeMatchesPayloadModeDecisions) {
-  // Touch/InsertMeta must produce the same hit/miss sequence as
-  // Lookup/Insert under the same seed and access pattern.
-  SoftwareCache with_data(16 * 64, 64, /*seed=*/42, /*store_payloads=*/true);
-  SoftwareCache meta_only(16 * 64, 64, /*seed=*/42, /*store_payloads=*/false);
-  Rng rng(9);
-  auto payload = Payload(64, 0x7);
-  for (int i = 0; i < 2000; ++i) {
-    uint64_t page = rng.UniformInt(64);
-    bool hit_a = with_data.Lookup(page) != nullptr;
-    if (!hit_a) with_data.Insert(page, payload);
-    bool hit_b = meta_only.Touch(page);
-    if (!hit_b) meta_only.InsertMeta(page);
-    ASSERT_EQ(hit_a, hit_b) << "diverged at access " << i;
+  // Lookup/Insert with empty spans (counting mode) must make every
+  // decision the payload calls make under the same seed and op sequence:
+  // hits, placements, evictions, bypasses, multi-reuse pin drains, fill
+  // rejects and hit-time quarantines. Fill verification on keeps corrupt
+  // lines out; with it off they get in and verify_hit quarantines them.
+  struct Verify {
+    bool fill;
+    bool hit;
+  };
+  for (Verify verify : {Verify{false, false}, Verify{true, true},
+                        Verify{false, true}}) {
+    SCOPED_TRACE(::testing::Message() << "verify_fill=" << verify.fill
+                                      << " verify_hit=" << verify.hit);
+    PageChecksummer cs(0xc3c32c);
+    SoftwareCache with_data(16 * 64, 64, /*seed=*/42,
+                            /*store_payloads=*/true);
+    SoftwareCache meta_only(16 * 64, 64, /*seed=*/42,
+                            /*store_payloads=*/false);
+    with_data.EnableIntegrity(&cs, verify.fill, verify.hit);
+    meta_only.EnableIntegrity(&cs, verify.fill, verify.hit);
+    Rng rng(9);
+    std::vector<std::byte> got(64);
+    for (int i = 0; i < 4000; ++i) {
+      const uint64_t page = rng.UniformInt(64);
+      const uint64_t op = rng.UniformInt(20);
+      if (op < 4) {
+        const auto count = static_cast<uint32_t>(1 + rng.UniformInt(3));
+        with_data.AddFutureReuse(page, count);
+        meta_only.AddFutureReuse(page, count);
+      } else if (op == 4) {
+        ASSERT_EQ(with_data.Invalidate(page), meta_only.Invalidate(page))
+            << "op " << i;
+      } else {
+        const auto reuses = static_cast<uint32_t>(1 + rng.UniformInt(3));
+        const bool hit = with_data.Lookup(page, got, reuses);
+        ASSERT_EQ(hit, meta_only.Lookup(page, {}, reuses)) << "op " << i;
+        auto payload = Payload(64, static_cast<uint8_t>(page));
+        if (hit && verify.hit) {
+          ASSERT_EQ(got, payload) << "op " << i;  // never a corrupt line
+        }
+        if (!hit) {
+          // About 5% of fills carry bytes served silently corrupt.
+          const bool corrupt = rng.UniformInt(20) == 0;
+          const uint32_t crc = cs.Checksum(page, payload);
+          if (corrupt) payload[0] ^= std::byte{0xff};
+          ASSERT_EQ(with_data.Insert(page, payload, crc, corrupt),
+                    meta_only.Insert(page, {}, std::nullopt, corrupt))
+              << "op " << i;
+        }
+      }
+      ASSERT_TRUE(with_data.stats() == meta_only.stats()) << "op " << i;
+      ASSERT_EQ(with_data.pinned_lines(), meta_only.pinned_lines())
+          << "op " << i;
+      ASSERT_EQ(with_data.resident_lines(), meta_only.resident_lines())
+          << "op " << i;
+    }
+    // The op mix reaches every decision it compares.
+    const CacheStats& stats = meta_only.stats();
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_GT(stats.pinned_probe_skips, 0u);
+    EXPECT_GT(stats.bypasses, 0u);
+    EXPECT_EQ(stats.fill_rejects > 0, verify.fill);
+    EXPECT_EQ(stats.quarantines > 0, verify.hit && !verify.fill);
   }
-  EXPECT_EQ(with_data.stats().hits, meta_only.stats().hits);
-  EXPECT_EQ(with_data.stats().evictions, meta_only.stats().evictions);
 }
 
 TEST(SoftwareCacheTest, HitRatioStat) {
@@ -152,7 +201,7 @@ TEST(SoftwareCacheTest, StressResidencyNeverExceedsCapacity) {
   Rng rng(6);
   for (int i = 0; i < 20000; ++i) {
     uint64_t page = rng.UniformInt(1000);
-    if (!cache.Touch(page)) cache.InsertMeta(page);
+    if (!cache.Lookup(page)) cache.Insert(page);
     ASSERT_LE(cache.resident_lines(), cache.capacity_lines());
   }
 }
@@ -165,14 +214,14 @@ TEST_P(WindowPinStressTest, CounterConservation) {
   const int k = GetParam();
   SoftwareCache cache(64 * 64, 64, /*seed=*/7, /*store_payloads=*/false);
   cache.AddFutureReuse(3, k);
-  cache.InsertMeta(3);
+  cache.Insert(3);
   for (int i = 0; i < k; ++i) {
-    EXPECT_TRUE(cache.Touch(3));
+    EXPECT_TRUE(cache.Lookup(3));
     EXPECT_EQ(cache.FutureReuseCount(3), static_cast<uint32_t>(k - 1 - i));
   }
   EXPECT_EQ(cache.pinned_lines(), 0u);
   // Extra accesses must not underflow.
-  EXPECT_TRUE(cache.Touch(3));
+  EXPECT_TRUE(cache.Lookup(3));
   EXPECT_EQ(cache.FutureReuseCount(3), 0u);
 }
 

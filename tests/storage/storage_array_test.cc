@@ -48,10 +48,11 @@ TEST(StorageArrayTest, PerDeviceCounters) {
 }
 
 TEST(StorageArrayTest, NoteReadCountsWithoutData) {
+  // An empty span is a counting-mode read: counted, no bytes moved.
   auto arr = MakeArray(2);
-  arr->NoteRead(0);
-  arr->NoteRead(1);
-  arr->NoteRead(2);
+  for (uint64_t p = 0; p < 3; ++p) {
+    ASSERT_TRUE(arr->ReadPage(p, {}).ok());
+  }
   EXPECT_EQ(arr->total_reads(), 3u);
   EXPECT_EQ(arr->reads_on_device(0), 2u);
   EXPECT_EQ(arr->reads_on_device(1), 1u);
@@ -59,7 +60,7 @@ TEST(StorageArrayTest, NoteReadCountsWithoutData) {
 
 TEST(StorageArrayTest, ResetCounters) {
   auto arr = MakeArray(1);
-  arr->NoteRead(0);
+  ASSERT_TRUE(arr->ReadPage(0, {}).ok());
   arr->ResetCounters();
   EXPECT_EQ(arr->total_reads(), 0u);
   EXPECT_EQ(arr->reads_on_device(0), 0u);

@@ -42,10 +42,11 @@ for preset in "${presets[@]}"; do
     build/bench/bench_abl_cache_policy > "$benchlog/cachepolicy.log"
     build/bench/bench_abl_replication > "$benchlog/replication.log"
     build/bench/bench_serving > "$benchlog/serving.log"
+    build/bench/bench_abl_coalescing > "$benchlog/coalescing.log"
     python3 tools/bench_compare.py --baseline bench/baselines/seed.json \
       "$benchlog/fig03.log" "$benchlog/fig13.log" "$benchlog/hostpar.log" \
       "$benchlog/cachepolicy.log" "$benchlog/replication.log" \
-      "$benchlog/serving.log"
+      "$benchlog/serving.log" "$benchlog/coalescing.log"
     rm -rf "$benchlog"
   fi
 done

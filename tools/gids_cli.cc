@@ -22,6 +22,8 @@
 // attribution report (windowed timeline + top-K slowest iterations with
 // their dominant cost-ledger component; see OBSERVABILITY.md).
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,13 +81,49 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric flags accept a value only when all of it parses (integers in
+  // base 0, so hex seeds work) and lies in [min, max]; anything else
+  // exits with status 2 before a loader is built.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      Invalid(key, it->second);
+    }
+    return v;
   }
-  long GetInt(const std::string& key, long fallback) const {
+  long GetInt(const std::string& key, long fallback, long min = LONG_MIN,
+              long max = LONG_MAX) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    long v = 0;
+    if (!ParseLong(it->second, min, max, &v)) Invalid(key, it->second);
+    return v;
+  }
+  /// Counts and sizes: never negative, and small enough for an int field.
+  long GetCount(const std::string& key, long fallback, long min = 0) const {
+    return GetInt(key, fallback, min, INT_MAX);
+  }
+  /// A comma-separated list of ints, each at least `min`.
+  std::vector<int> GetIntList(const std::string& key,
+                              const std::string& fallback, long min) const {
+    const std::string csv = Get(key, fallback);
+    std::vector<int> out;
+    // Every comma starts one more entry, so "10,5," is rejected.
+    for (size_t pos = 0; !csv.empty() && pos <= csv.size();) {
+      size_t comma = std::min(csv.find(',', pos), csv.size());
+      long v = 0;
+      if (!ParseLong(csv.substr(pos, comma - pos), min, INT_MAX, &v)) {
+        Invalid(key, csv);
+      }
+      out.push_back(static_cast<int>(v));
+      pos = comma + 1;
+    }
+    return out;
   }
   bool GetBool(const std::string& key) const {
     return values_.count(key) > 0;
@@ -93,6 +131,21 @@ class Flags {
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  static bool ParseLong(const std::string& text, long min, long max,
+                        long* out) {
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtol(text.c_str(), &end, 0);
+    return end != text.c_str() && *end == '\0' && errno != ERANGE &&
+           *out >= min && *out <= max;
+  }
+  [[noreturn]] static void Invalid(const std::string& key,
+                                   const std::string& value) {
+    std::fprintf(stderr, "gids_cli: invalid value for --%s: '%s'\n",
+                 key.c_str(), value.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -115,18 +168,6 @@ StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
                         SpecByName(flags.Get("dataset", "IGB-tiny")));
   return graph::BuildDataset(spec, flags.GetDouble("scale", 1.0 / 256),
                              static_cast<uint64_t>(flags.GetInt("seed", 42)));
-}
-
-std::vector<int> ParseFanout(const std::string& csv) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::atoi(csv.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-  return out;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -178,6 +219,12 @@ int CmdInfo(const Flags& flags) {
 }
 
 int CmdRun(const Flags& flags) {
+  const std::vector<int> fanouts =
+      flags.GetIntList("fanout", "10,5,5", /*min=*/1);
+  const auto batch =
+      static_cast<uint32_t>(flags.GetCount("batch", 16, /*min=*/1));
+  const long warmup = flags.GetCount("warmup", 100);
+  const long measure = flags.GetCount("measure", 30);
   auto dataset_or = ResolveDataset(flags);
   if (!dataset_or.ok()) {
     std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
@@ -189,16 +236,15 @@ int CmdRun(const Flags& flags) {
   sim::SsdSpec ssd = ssd_name == "samsung" ? sim::SsdSpec::Samsung980Pro()
                                            : sim::SsdSpec::IntelOptane();
   sim::SystemConfig cfg = sim::SystemConfig::Paper(
-      ssd, static_cast<int>(flags.GetInt("n-ssd", 1)));
+      ssd, static_cast<int>(flags.GetCount("n-ssd", 1, /*min=*/1)));
   cfg.memory_scale = flags.GetDouble("memory-scale", dataset.scale);
   sim::SystemModel system(cfg);
 
   sampling::NeighborSampler sampler(
-      &dataset.graph,
-      {.fanouts = ParseFanout(flags.Get("fanout", "10,5,5"))},
+      &dataset.graph, {.fanouts = fanouts},
       static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5a3e);
   sampling::SeedIterator seeds(
-      dataset.train_ids, static_cast<uint32_t>(flags.GetInt("batch", 16)),
+      dataset.train_ids, batch,
       static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5eed);
 
   // Observability sinks (see OBSERVABILITY.md). Created whenever an
@@ -218,7 +264,7 @@ int CmdRun(const Flags& flags) {
   const bool want_timeline =
       flags.Has("timeline-json") || flags.Has("timeline-csv");
   const size_t report_top_k = static_cast<size_t>(
-      std::max<long>(1, flags.GetInt("report-top-k", 5)));
+      std::max<long>(1, flags.GetCount("report-top-k", 5)));
   std::unique_ptr<obs::TimeSeries> timeline;
   std::unique_ptr<obs::ExemplarReservoir> exemplars;
   std::unique_ptr<obs::ExemplarReservoir> failover_exemplars;
@@ -257,11 +303,11 @@ int CmdRun(const Flags& flags) {
     if (flags.GetBool("no-cpu-buffer")) opts.use_cpu_buffer = false;
     opts.cpu_buffer_fraction = flags.GetDouble("cpu-buffer-frac", 0.10);
     opts.window_depth =
-        static_cast<int>(flags.GetInt("window-depth", 8));
+        static_cast<int>(flags.GetCount("window-depth", 8));
     opts.host_threads =
-        static_cast<uint32_t>(flags.GetInt("host-threads", 1));
+        static_cast<uint32_t>(flags.GetCount("host-threads", 1));
     opts.prefetch_depth =
-        static_cast<uint32_t>(flags.GetInt("prefetch-depth", 0));
+        static_cast<uint32_t>(flags.GetCount("prefetch-depth", 0));
     opts.coalesce_pages = flags.GetBool("coalesce-pages");
     // Escape hatch for the size-bucketed workspace pool (DESIGN.md §11):
     // every scratch acquire falls back to plain malloc/free. Results are
@@ -276,11 +322,11 @@ int CmdRun(const Flags& flags) {
         UsToNs(flags.GetDouble("latency-spike-us", 500.0));
     opts.stuck_queue_rate = flags.GetDouble("stuck-queue-rate", 0.0);
     if (flags.Has("offline-devices")) {
-      opts.offline_devices = ParseFanout(flags.Get("offline-devices", ""));
+      opts.offline_devices = flags.GetIntList("offline-devices", "", 0);
     }
     opts.offline_at_ns = UsToNs(flags.GetDouble("offline-at-us", 0.0));
     opts.io_max_retries =
-        static_cast<uint32_t>(flags.GetInt("io-max-retries", 4));
+        static_cast<uint32_t>(flags.GetCount("io-max-retries", 4));
     opts.io_timeout_ns = UsToNs(flags.GetDouble("io-timeout-us", 1000.0));
     opts.io_backoff_ns = UsToNs(flags.GetDouble("io-backoff-us", 20.0));
     // End-to-end data integrity (INTEGRITY.md).
@@ -291,22 +337,22 @@ int CmdRun(const Flags& flags) {
     opts.verify_cache_fill = flags.GetBool("verify-cache-fill");
     opts.verify_cache_hit = flags.GetBool("verify-cache-hit");
     opts.scrub_pages_per_iter =
-        static_cast<uint32_t>(flags.GetInt("scrub-pages-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("scrub-pages-per-iter", 0));
     // Durability & replication (FAULTS.md "Durability & failover").
     opts.replication_factor =
-        static_cast<int>(flags.GetInt("replication-factor", 1));
-    opts.write_quorum = static_cast<int>(flags.GetInt("write-quorum", 0));
+        static_cast<int>(flags.GetCount("replication-factor", 1, /*min=*/1));
+    opts.write_quorum = static_cast<int>(flags.GetCount("write-quorum", 0));
     opts.updates_per_iter =
-        static_cast<uint32_t>(flags.GetInt("updates-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("updates-per-iter", 0));
     opts.edge_ops_per_iter =
-        static_cast<uint32_t>(flags.GetInt("edge-ops-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("edge-ops-per-iter", 0));
     opts.mutation_seed = static_cast<uint64_t>(
         flags.GetInt("mutation-seed", 0x6d7574a73ll));
     opts.durability = flags.Get("durability", "quorum");
     opts.journal_apply_budget =
-        static_cast<uint64_t>(flags.GetInt("journal-apply-budget", 0));
+        static_cast<uint64_t>(flags.GetCount("journal-apply-budget", 0));
     opts.crash_at_group =
-        static_cast<int>(flags.GetInt("crash-at-group", -1));
+        static_cast<int>(flags.GetCount("crash-at-group", -1, /*min=*/-1));
     opts.crash_seed =
         static_cast<uint64_t>(flags.GetInt("crash-seed", 0xc4a54));
     if (want_timeline && opts.replication_factor > 1) {
@@ -331,11 +377,11 @@ int CmdRun(const Flags& flags) {
                   storage::CachePolicyKindName(policy_kind));
     }
     opts.presample_iterations =
-        static_cast<uint32_t>(flags.GetInt("presample-iters", 32));
+        static_cast<uint32_t>(flags.GetCount("presample-iters", 32));
     opts.presample_seed =
         static_cast<uint64_t>(flags.GetInt("presample-seed", 0x9e5a));
     opts.presample_rerank_groups =
-        static_cast<uint32_t>(flags.GetInt("presample-rerank-groups", 0));
+        static_cast<uint32_t>(flags.GetCount("presample-rerank-groups", 0));
     if (opts.use_cpu_buffer &&
         opts.cache_policy != storage::CachePolicyKind::kPresample) {
       // The presample policy ranks the buffer itself; every other kind
@@ -358,10 +404,8 @@ int CmdRun(const Flags& flags) {
 
   core::Trainer trainer(
       &dataset,
-      {.warmup_iterations =
-           static_cast<uint64_t>(flags.GetInt("warmup", 100)),
-       .measure_iterations =
-           static_cast<uint64_t>(flags.GetInt("measure", 30))});
+      {.warmup_iterations = static_cast<uint64_t>(warmup),
+       .measure_iterations = static_cast<uint64_t>(measure)});
   auto result = trainer.Run(*loader);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -374,7 +418,7 @@ int CmdRun(const Flags& flags) {
               std::string(loader->name()).c_str(), ssd.name.c_str(),
               cfg.n_ssd);
   std::printf("iterations:   %llu measured (after %ld warm-up)\n",
-              static_cast<unsigned long long>(n), flags.GetInt("warmup", 100));
+              static_cast<unsigned long long>(n), warmup);
   std::printf("e2e:          %.3f virtual ms/iter\n",
               result->mean_iteration_ms());
   std::printf("  sampling    %.3f ms/iter\n", NsToMs(m.sampling_ns) / n);
@@ -600,7 +644,7 @@ int CmdReport(const Flags& flags) {
   std::fclose(f);
   auto report = obs::RenderTimelineReport(
       doc, static_cast<size_t>(
-               std::max<long>(1, flags.GetInt("report-top-k", 5))));
+               std::max<long>(1, flags.GetCount("report-top-k", 5))));
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
