@@ -2,22 +2,21 @@
 //
 // Replays zipf-skewed seed traces (a deterministic popularity permutation
 // of the training ids, inverse-CDF draws at theta = 0.6 / 1.0 / 1.2)
-// through the five pluggable policies on a real SoftwareCache instance,
-// for both the neighborhood and LADIES samplers (512-node layers here —
-// small enough that the layer draws track the seed frontier, so the seed
-// skew actually reaches the access stream; at fig15's 4096-node layers
-// the draws are near-structural and skew-insensitive). Each policy runs
-// its
-// natural stack: random = BaM bare cache; window adds depth-8 future
-// pinning; pagerank adds the structural hot buffer; belady consumes the
-// window look-ahead feed; presample ranks both the hot buffer and the
-// admission priorities from a bounded presample pass over the SAME skew
-// it will then serve. The headline claim (ISSUE 8): the presample
-// policy's combined hit rate matches or beats the PageRank hot buffer on
-// zipf >= 1.0 workloads, because it observes the actual access skew
-// instead of approximating it structurally.
+// through five cache stacks on a real SoftwareCache instance, for both
+// the neighborhood and LADIES samplers (512-node layers here — small
+// enough that the layer draws track the seed frontier, so the seed skew
+// actually reaches the access stream; at fig15's 4096-node layers the
+// draws are near-structural and skew-insensitive). A stack is a cache
+// policy plus the loader techniques it runs with: random = BaM bare
+// cache; window adds depth-8 future pinning; pagerank adds the structural
+// hot buffer; belady consumes the window look-ahead feed; presample ranks
+// both the hot buffer and the admission priorities from a bounded
+// presample pass over the SAME skew it will then serve. The headline
+// claim: the presample policy's combined hit rate matches or beats the
+// PageRank hot buffer on zipf >= 1.0 workloads, because it observes the
+// actual access skew instead of approximating it structurally.
 //
-// A second benchmark runs the two ranked policies end-to-end through the
+// A second benchmark runs the two ranked stacks end-to-end through the
 // GIDS loader on a zipf-skewed seed multiset (virtual-time ms/iter and
 // gpu-cache hit ratio), exercising the loader-internal presample pass and
 // live re-ranking.
@@ -45,6 +44,23 @@ constexpr int kPresamplePasses = 6;  // epoch repeats in the presample pass
 constexpr int kWindowDepth = 8;
 const std::vector<uint32_t> kLadiesLayers = {512, 512, 512};
 const double kThetas[] = {0.6, 1.0, 1.2};
+
+// One replayed stack: the cache policy plus the window depth and hot
+// buffer it runs with. The presample policy ranks its own buffer.
+struct ReplayStack {
+  const char* label;
+  storage::CachePolicyKind kind;
+  int window_depth;
+  bool pagerank_buffer;
+};
+
+constexpr ReplayStack kStacks[] = {
+    {"random", storage::CachePolicyKind::kRandom, 0, false},
+    {"window", storage::CachePolicyKind::kRandom, kWindowDepth, false},
+    {"pagerank", storage::CachePolicyKind::kRandom, kWindowDepth, true},
+    {"belady", storage::CachePolicyKind::kGinexBelady, kWindowDepth, false},
+    {"presample", storage::CachePolicyKind::kPresample, kWindowDepth, false},
+};
 
 // Inverse-CDF zipf(theta) over ranks [0, n): rank r is drawn with
 // probability proportional to 1/(r+1)^theta. Deterministic in its seed.
@@ -101,24 +117,23 @@ std::vector<std::vector<graph::NodeId>> SampleTrace(
 }
 
 // Replays `trace` through a SoftwareCache driven by a fresh policy of
-// `kind`, with the policy's natural hot-buffer / window stack. Returns
-// the combined hit rate: (CPU-buffer page hits + cache hits) / accesses.
-double ReplayPolicy(const std::shared_ptr<const graph::Dataset>& dataset,
-                    storage::CachePolicyKind kind,
-                    const std::vector<std::vector<graph::NodeId>>& trace,
-                    const std::vector<std::vector<graph::NodeId>>&
-                        presample_trace) {
+// `stack.kind`, with the stack's hot buffer and window. Returns the
+// combined hit rate: (CPU-buffer page hits + cache hits) / accesses.
+double ReplayStackHitRate(
+    const std::shared_ptr<const graph::Dataset>& dataset,
+    const ReplayStack& stack,
+    const std::vector<std::vector<graph::NodeId>>& trace,
+    const std::vector<std::vector<graph::NodeId>>& presample_trace) {
   const graph::FeatureStore& fs = dataset->features;
-  auto policy = storage::MakeCachePolicy(kind);
+  auto policy = storage::MakeCachePolicy(stack.kind);
   const uint64_t buffer_bytes =
       kHotBufferNodes * fs.feature_bytes_per_node();
 
   std::optional<core::ConstantCpuBuffer> buffer;
-  if (kind == storage::CachePolicyKind::kPageRankHot) {
-    policy->IngestHotRanking(CachedPageRankOrder(dataset));
+  if (stack.pagerank_buffer) {
     buffer = core::ConstantCpuBuffer::FromRanking(
-        fs, policy->HotNodeRanking(), buffer_bytes);
-  } else if (kind == storage::CachePolicyKind::kPresample) {
+        fs, CachedPageRankOrder(dataset), buffer_bytes);
+  } else if (stack.kind == storage::CachePolicyKind::kPresample) {
     std::vector<uint64_t> counts(dataset->graph.num_nodes(), 0);
     for (const auto& iter : presample_trace) {
       for (graph::NodeId v : iter) ++counts[v];
@@ -132,8 +147,7 @@ double ReplayPolicy(const std::shared_ptr<const graph::Dataset>& dataset,
                                fs.page_bytes(), /*seed=*/3,
                                /*store_payloads=*/false, /*num_shards=*/0,
                                policy.get());
-  const int window =
-      kind == storage::CachePolicyKind::kRandom ? 0 : kWindowDepth;
+  const int window = stack.window_depth;
   auto register_iter = [&](const std::vector<graph::NodeId>& nodes) {
     for (graph::NodeId v : nodes) {
       if (buffer && buffer->Contains(v)) continue;
@@ -173,13 +187,6 @@ double ReplayPolicy(const std::shared_ptr<const graph::Dataset>& dataset,
 }
 
 void BM_CachePolicyHitRates(benchmark::State& state) {
-  const storage::CachePolicyKind kKinds[] = {
-      storage::CachePolicyKind::kRandom,
-      storage::CachePolicyKind::kWindow,
-      storage::CachePolicyKind::kPageRankHot,
-      storage::CachePolicyKind::kGinexBelady,
-      storage::CachePolicyKind::kPresample,
-  };
   ProxyConfig cfg;
   for (auto _ : state) {
     for (int s = 0; s < 2; ++s) {
@@ -208,17 +215,16 @@ void BM_CachePolicyHitRates(benchmark::State& state) {
         auto presample_trace = SampleTrace(rig, tiled, base + 1024);
         double pagerank_hit = 0.0;
         double presample_hit = 0.0;
-        for (storage::CachePolicyKind kind : kKinds) {
+        for (const ReplayStack& stack : kStacks) {
           double hit =
-              ReplayPolicy(rig.dataset, kind, trace, presample_trace);
+              ReplayStackHitRate(rig.dataset, stack, trace, presample_trace);
           char label[96];
           std::snprintf(label, sizeof(label), "%s zipf=%.1f %s hit rate",
-                        sampler_name, theta,
-                        storage::CachePolicyKindName(kind));
+                        sampler_name, theta, stack.label);
           ReportRow("ABL-CACHEPOLICY", label, hit, 0, "fraction");
-          if (kind == storage::CachePolicyKind::kPageRankHot) {
+          if (stack.pagerank_buffer) {
             pagerank_hit = hit;
-          } else if (kind == storage::CachePolicyKind::kPresample) {
+          } else if (stack.kind == storage::CachePolicyKind::kPresample) {
             presample_hit = hit;
           }
         }
@@ -237,10 +243,12 @@ void BM_CachePolicyHitRates(benchmark::State& state) {
 
 BENCHMARK(BM_CachePolicyHitRates)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// End-to-end: the two ranked policies through the real GIDS loader on a
+// End-to-end: the two ranked stacks through the real GIDS loader on a
 // zipf(1.2)-skewed seed multiset (duplicates carry the skew through the
-// epoch shuffles). The presample loader runs the loader-internal
-// presample pass and live re-ranking (presample_rerank_groups).
+// epoch shuffles): pagerank is the default loader (random eviction,
+// window, PageRank-ranked CPU buffer); presample swaps in the presample
+// policy, which runs the loader-internal presample pass and live
+// re-ranking (presample_rerank_groups).
 void BM_CachePolicyE2E(benchmark::State& state) {
   ProxyConfig cfg;
   for (auto _ : state) {
@@ -252,11 +260,14 @@ void BM_CachePolicyE2E(benchmark::State& state) {
     std::vector<graph::NodeId> skewed(popularity.size());
     for (auto& v : skewed) v = popularity[draw.Next()];
 
-    const storage::CachePolicyKind kKinds[] = {
-        storage::CachePolicyKind::kPageRankHot,
-        storage::CachePolicyKind::kPresample,
+    const struct {
+      const char* label;
+      storage::CachePolicyKind kind;
+    } kE2EStacks[] = {
+        {"pagerank", storage::CachePolicyKind::kRandom},
+        {"presample", storage::CachePolicyKind::kPresample},
     };
-    for (storage::CachePolicyKind kind : kKinds) {
+    for (const auto& [name, kind] : kE2EStacks) {
       Rig rig = BuildRig(cfg);
       rig.seeds = std::make_unique<sampling::SeedIterator>(
           skewed, cfg.batch_size, 0x5eed);
@@ -265,7 +276,6 @@ void BM_CachePolicyE2E(benchmark::State& state) {
       opts.presample_rerank_groups = 4;
       auto loader = MakeLoader(LoaderKind::kGids, rig, &opts);
       auto result = RunProtocol(rig, *loader, /*warmup=*/40, /*measure=*/30);
-      const char* name = storage::CachePolicyKindName(kind);
       char label[96];
       std::snprintf(label, sizeof(label), "%s ms/iter (zipf=1.2)", name);
       ReportRow("ABL-CACHEPOLICY-E2E", label, result.mean_iteration_ms(), 0,

@@ -19,6 +19,10 @@ const char* HotMetricName(HotMetric metric) {
   return "unknown";
 }
 
+namespace {
+
+/// Hottest-first node order under `metric`. `seed` only matters for
+/// HotMetric::kRandom.
 std::vector<graph::NodeId> HotMetricRanking(const graph::CscGraph& graph,
                                             HotMetric metric, uint64_t seed) {
   std::vector<graph::NodeId> order;
@@ -42,6 +46,8 @@ std::vector<graph::NodeId> HotMetricRanking(const graph::CscGraph& graph,
   }
   return order;
 }
+
+}  // namespace
 
 ConstantCpuBuffer ConstantCpuBuffer::Build(const graph::CscGraph& graph,
                                            const graph::FeatureStore& features,

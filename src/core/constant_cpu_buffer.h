@@ -27,14 +27,6 @@ enum class HotMetric {
 
 const char* HotMetricName(HotMetric metric);
 
-/// Hottest-first node order under `metric` — the ranking
-/// ConstantCpuBuffer::Build pins from, exposed so cache policies can
-/// ingest the identical order (CACHING.md). `seed` only matters for
-/// HotMetric::kRandom.
-std::vector<graph::NodeId> HotMetricRanking(const graph::CscGraph& graph,
-                                            HotMetric metric,
-                                            uint64_t seed = 0xc0feb0f);
-
 /// The constant CPU buffer (§3.3): a user-sized region of pinned host
 /// memory holding the feature vectors of the hottest nodes. Feature
 /// gathers check it first; hits cross PCIe from DRAM instead of consuming

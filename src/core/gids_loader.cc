@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -10,6 +11,44 @@
 #include "obs/workspace_metrics.h"
 
 namespace gids::core {
+
+Status GidsOptions::Validate(int n_ssd) const {
+  auto bad = [](const std::string& msg) {
+    return Status::InvalidArgument(msg);
+  };
+  if (window_depth < 0) return bad("window_depth must be >= 0");
+  if (max_merged_iterations < 1) {
+    return bad("max_merged_iterations must be >= 1");
+  }
+  for (int d : offline_devices) {
+    if (d < 0 || d >= n_ssd) {
+      return bad("offline device " + std::to_string(d) + " is not in [0, " +
+                 std::to_string(n_ssd) + ")");
+    }
+  }
+  const int max_factor = std::min(n_ssd, storage::ReplicaSet::kMaxReplicas);
+  if (replication_factor < 1 || replication_factor > max_factor) {
+    return bad("replication_factor " + std::to_string(replication_factor) +
+               " is not in [1, " + std::to_string(max_factor) +
+               "] (at most n_ssd and " +
+               std::to_string(storage::ReplicaSet::kMaxReplicas) + ")");
+  }
+  if (ReplicaOptions::enabled() &&
+      (write_quorum < 0 || write_quorum > replication_factor)) {
+    return bad("write_quorum " + std::to_string(write_quorum) +
+               " is not in [0, replication_factor]");
+  }
+  storage::DurabilityLevel level;
+  if (!storage::ParseDurabilityLevel(durability, &level)) {
+    return bad("unknown durability '" + durability +
+               "' (none, journaled, synced, quorum)");
+  }
+  if (crash_at_group >= 0 && !MutationStreamOptions::enabled()) {
+    return bad("crash_at_group needs a mutation stream "
+               "(updates_per_iter or edge_ops_per_iter > 0)");
+  }
+  return Status::OK();
+}
 
 GidsLoader::GidsLoader(const graph::Dataset* dataset,
                        sampling::Sampler* sampler,
@@ -24,8 +63,6 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   GIDS_CHECK(sampler_ != nullptr);
   GIDS_CHECK(seeds_ != nullptr);
   GIDS_CHECK(system_ != nullptr);
-  GIDS_CHECK(options_.window_depth >= 0);
-  GIDS_CHECK(options_.max_merged_iterations >= 1);
 
   // The workspace pool is process-wide; the flag is the escape hatch that
   // turns every acquire into plain malloc/free (bit-identical results).
@@ -33,6 +70,7 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
 
   const graph::FeatureStore& fs = dataset_->features;
   const sim::SystemConfig& cfg = system_->config();
+  GIDS_CHECK_OK(options_.Validate(cfg.n_ssd));
 
   // Feature data lives on the SSD array; the synthetic block device
   // regenerates any page's ground-truth bytes on demand.
@@ -42,62 +80,26 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   storage_ = std::make_unique<storage::StorageArray>(
       std::move(device), cfg.ssd, cfg.n_ssd, options_.io_queues,
       options_.io_queue_depth);
-  storage::FaultOptions faults;
-  faults.fault_rate = options_.fault_rate;
-  faults.fault_seed = options_.fault_seed;
-  faults.latency_spike_rate = options_.latency_spike_rate;
-  faults.latency_spike_ns = options_.latency_spike_ns;
-  faults.stuck_queue_rate = options_.stuck_queue_rate;
-  faults.offline_devices = options_.offline_devices;
-  faults.offline_at_ns = options_.offline_at_ns;
-  faults.corruption_rate = options_.corruption_rate;
-  if (faults.enabled()) {
-    for (int d : options_.offline_devices) {
-      GIDS_CHECK(d >= 0 && d < cfg.n_ssd);
-    }
-    storage::RetryPolicy retry;
-    retry.max_retries = options_.io_max_retries;
-    retry.backoff_initial_ns = options_.io_backoff_ns;
-    retry.timeout_ns = options_.io_timeout_ns;
-    storage_->EnableFaultInjection(faults, retry);
-  }
-  storage::IntegrityOptions integrity;
-  integrity.verify_reads = options_.verify_reads;
-  integrity.verify_cache_fill = options_.verify_cache_fill;
-  integrity.verify_cache_hit = options_.verify_cache_hit;
-  integrity.crc_seed = options_.crc_seed;
-  integrity.crc_verify_ns = options_.crc_verify_ns;
-  storage_->EnableIntegrity(integrity);
+  storage::RetryPolicy retry;
+  retry.max_retries = options_.io_max_retries;
+  retry.backoff_initial_ns = options_.io_backoff_ns;
+  retry.timeout_ns = options_.io_timeout_ns;
+  storage_->EnableFaultInjection(options_, retry);
+  storage_->EnableIntegrity(options_);
 
   // Durability & replication (FAULTS.md "Durability & failover"). Order
   // matters: replication before the journal (fan-out follows the replica
   // set), both before metric binding (the journal/replica series exist
   // only when enabled, keeping defaults-off metric output identical).
-  GIDS_CHECK(options_.replication_factor >= 1 &&
-             options_.replication_factor <= cfg.n_ssd);
-  if (options_.replication_factor > 1) {
-    storage::ReplicaOptions repl;
-    repl.replication_factor = options_.replication_factor;
-    repl.write_quorum = options_.write_quorum;
-    GIDS_CHECK(repl.write_quorum >= 0 &&
-               repl.write_quorum <= repl.replication_factor);
-    storage_->EnableReplication(repl);
-  }
-  MutationStreamOptions mut;
-  mut.updates_per_iter = options_.updates_per_iter;
-  mut.edge_ops_per_iter = options_.edge_ops_per_iter;
-  mut.seed = options_.mutation_seed;
-  if (mut.enabled() || options_.replication_factor > 1) {
-    storage::JournalOptions jopt;
-    GIDS_CHECK(
-        storage::ParseDurabilityLevel(options_.durability, &jopt.durability));
+  const bool replicated = options_.ReplicaOptions::enabled();
+  const bool mutating = options_.MutationStreamOptions::enabled();
+  if (replicated) storage_->EnableReplication(options_);
+  if (mutating || replicated) {
+    storage::JournalOptions jopt;  // Validate accepted the level's name
+    storage::ParseDurabilityLevel(options_.durability, &jopt.durability);
     storage_->EnableJournal(jopt);
   }
-  if (mut.enabled()) {
-    mutations_ = std::make_unique<MutationStream>(&fs, mut);
-  } else {
-    GIDS_CHECK(options_.crash_at_group < 0);
-  }
+  if (mutating) mutations_ = std::make_unique<MutationStream>(&fs, options_);
 
   // Replacement/admission policy (CACHING.md). A shared instance is used
   // as-is (the sharing host already seeded its ranking); otherwise the
@@ -116,11 +118,11 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
       cache_bytes, fs.page_bytes(), options_.seed ^ 0xcac4e,
       /*store_payloads=*/!options_.counting_mode, options_.cache_shards,
       policy_);
-  if (integrity.verify_cache_fill || integrity.verify_cache_hit ||
+  if (options_.verify_cache_fill || options_.verify_cache_hit ||
       options_.scrub_pages_per_iter > 0) {
     cache_->EnableIntegrity(&storage_->checksummer(),
-                            integrity.verify_cache_fill,
-                            integrity.verify_cache_hit);
+                            options_.verify_cache_fill,
+                            options_.verify_cache_hit);
   }
   bam_ = std::make_unique<storage::BamArray>(storage_.get(), cache_.get());
 
@@ -129,25 +131,15 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
         std::max<uint32_t>(1, options_.host_threads));
   }
 
-  // Seed the owned policy's ranking. kPresample always runs its pass (the
-  // admission priorities need it even without a CPU buffer); kPageRankHot
-  // only computes the structural ranking when the buffer will consume it
-  // (an explicit hot_node_order supersedes it, exactly as before).
-  if (owned_policy_ != nullptr) {
-    if (policy_->kind() == storage::CachePolicyKind::kPresample) {
-      SeedCachePolicy(policy_, *dataset_, *sampler_, seeds_->batch_size(),
-                      options_.hot_metric, options_.seed ^ 0xb0f,
-                      options_.presample_seed, options_.presample_iterations,
-                      &live_freq_);
-      presample_live_rerank_ = options_.presample_rerank_groups > 0 &&
-                               policy_->ProvidesHotRanking();
-    } else if (policy_->kind() == storage::CachePolicyKind::kPageRankHot &&
-               options_.use_cpu_buffer &&
-               options_.hot_node_order == nullptr) {
-      SeedCachePolicy(policy_, *dataset_, *sampler_, seeds_->batch_size(),
-                      options_.hot_metric, options_.seed ^ 0xb0f,
-                      options_.presample_seed, 0, nullptr);
-    }
+  // Seed an owned presample policy: its pass runs even without a CPU
+  // buffer, because the admission priorities need it.
+  if (owned_policy_ != nullptr &&
+      policy_->kind() == storage::CachePolicyKind::kPresample) {
+    SeedCachePolicy(policy_, *dataset_, *sampler_, seeds_->batch_size(),
+                    options_.presample_seed, options_.presample_iterations,
+                    &live_freq_);
+    presample_live_rerank_ = options_.presample_rerank_groups > 0 &&
+                             policy_->ProvidesHotRanking();
   }
 
   if (options_.use_cpu_buffer) {
@@ -163,10 +155,8 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
       cpu_buffer_ = std::make_unique<ConstantCpuBuffer>(
           ConstantCpuBuffer::FromNodeSet(fs, pinned));
     } else if (policy_->ProvidesHotRanking()) {
-      // Policy-ranked residency: the structural ranking for kPageRankHot
-      // (bit-identical to the Build path below), the observed-frequency
-      // ranking for kPresample, or whatever a shared policy was seeded
-      // with.
+      // Policy-ranked residency: a presample policy's observed-frequency
+      // ranking, owned or shared.
       cpu_buffer_ = std::make_unique<ConstantCpuBuffer>(
           ConstantCpuBuffer::FromRanking(fs, policy_->HotNodeRanking(),
                                          buffer_bytes));

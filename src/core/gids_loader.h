@@ -26,7 +26,10 @@
 #include "sampling/seed_iterator.h"
 #include "sim/system_model.h"
 #include "storage/bam_array.h"
+#include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
+#include "storage/page_integrity.h"
+#include "storage/replica_set.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
 
@@ -36,7 +39,17 @@ namespace gids::core {
 /// yields the plain BaM dataloader baseline (GPU-initiated storage access,
 /// random-eviction software cache, per-iteration kernels) that the paper
 /// compares against.
-struct GidsOptions {
+///
+/// The storage knobs are inherited from the option structs the stack
+/// consumes (FAULTS.md, INTEGRITY.md), whose defaults keep each layer off;
+/// the loader hands the options to the stack as they are. No field here
+/// may reuse a base field's name: it would hide the base field, and the
+/// stack would see the base's default. Each base has its own enabled();
+/// call it qualified, e.g. FaultOptions::enabled().
+struct GidsOptions : storage::FaultOptions,
+                     storage::IntegrityOptions,
+                     storage::ReplicaOptions,
+                     MutationStreamOptions {
   bool use_accumulator = true;
   double accumulator_target = 0.95;        // fraction of peak SSD IOPs
   uint32_t max_merged_iterations = 16;     // batch-buffer memory bound
@@ -58,14 +71,10 @@ struct GidsOptions {
   /// GPU software cache size; 0 uses the system config's (scaled) value.
   uint64_t gpu_cache_bytes = 0;
 
-  /// Replacement/admission policy for the software cache and the static
-  /// hot-buffer ranking (CACHING.md). The default names the paper's full
-  /// stack: random eviction + window pinning + a structurally ranked hot
-  /// buffer — bit-identical to the pre-framework behavior. kPresample
-  /// runs a presample pass at construction and ranks by observed
-  /// frequency instead; GidsOptions::Bam() selects kRandom.
-  storage::CachePolicyKind cache_policy =
-      storage::CachePolicyKind::kPageRankHot;
+  /// Replacement/admission policy of the software cache (CACHING.md).
+  /// kPresample also runs a presample pass at construction and pins the
+  /// CPU buffer by observed frequency instead of hot_metric.
+  storage::CachePolicyKind cache_policy = storage::CachePolicyKind::kRandom;
   /// Externally owned policy instance shared across loaders (multi-GPU
   /// shared-cache-policy mode, MultiGpuOptions::share_cache_policy).
   /// Overrides cache_policy; must outlive the loader. The sharing host
@@ -130,82 +139,19 @@ struct GidsOptions {
   /// one process should agree on it.
   bool workspace_pool = true;
 
-  /// --- Storage fault injection & resilience (FAULTS.md). All defaults
-  /// keep the fault layer disabled: the storage read path is then
-  /// byte-for-byte the pre-fault fast path.
-  /// Per-attempt transient command-error probability on storage reads.
-  double fault_rate = 0.0;
-  /// Seed of the deterministic fault stream (decisions are pure functions
-  /// of (fault_seed, page, attempt); same seed => same faults, at any
-  /// host_threads value).
-  uint64_t fault_seed = 0xfa017;
-  /// Per-attempt latency-spike probability and magnitude; a spike that
-  /// pushes an attempt past io_timeout_ns becomes a timeout.
-  double latency_spike_rate = 0.0;
-  TimeNs latency_spike_ns = 500 * kNsPerUs;
-  /// Per-attempt probability that the submission queue stalls (the command
-  /// is abandoned at io_timeout_ns and retried).
-  double stuck_queue_rate = 0.0;
-  /// Striped SSD indices to take offline; their pages always exhaust
-  /// retries and degrade (or fail over, with replication). Empty = none.
-  std::vector<int> offline_devices;
-  /// Virtual-time onset of the outage: the offline set is healthy before
-  /// this loader-clock instant and dark from it onward. 0 = offline from
-  /// the start.
-  TimeNs offline_at_ns = 0;
-  /// Retry policy: attempts = io_max_retries + 1; exponential backoff
-  /// starting at io_backoff_ns (doubling, capped at RetryPolicy's fixed
-  /// backoff_cap_ns); per-attempt command timeout io_timeout_ns. All in
-  /// virtual time.
+  /// Retry policy of the fault layer (FAULTS.md): attempts =
+  /// io_max_retries + 1; exponential backoff starting at io_backoff_ns
+  /// (doubling, capped at RetryPolicy's fixed backoff_cap_ns); per-attempt
+  /// command timeout io_timeout_ns. All in virtual time.
   uint32_t io_max_retries = 4;
   TimeNs io_timeout_ns = 1 * kNsPerMs;
   TimeNs io_backoff_ns = 20 * kNsPerUs;
 
-  /// --- End-to-end data integrity (INTEGRITY.md). All defaults keep the
-  /// integrity layer disabled; the read path and benchmark output are
-  /// then bit-identical to the pre-integrity build.
-  /// Per-attempt probability that a successful storage read serves
-  /// silently corrupted bytes (no error status). Deterministic in
-  /// (fault_seed, page, attempt), like the loud fault modes.
-  double corruption_rate = 0.0;
-  /// Seed of the page-tagged CRC-32C checksum space.
-  uint64_t crc_seed = 0xc3c32c;
-  /// Verify every storage read against the page's write-time checksum;
-  /// mismatches re-read under the retry budget (repair) and dead-letter
-  /// as unrepairable corruption when the budget runs out.
-  bool verify_reads = false;
-  /// Verify page payloads as they are inserted into the software cache
-  /// (corrupt fills are rejected).
-  bool verify_cache_fill = false;
-  /// Re-verify resident cache lines on every hit; mismatched lines are
-  /// quarantined and re-read from storage.
-  bool verify_cache_hit = false;
-  /// Background scrubber budget: resident cache lines (plus pinned CPU
-  /// buffer rows) verified per merged iteration, walked in virtual time
-  /// between iterations. 0 disables the scrubber.
+  /// Background scrubber budget (INTEGRITY.md): resident cache lines (plus
+  /// pinned CPU buffer rows) verified per merged iteration, walked in
+  /// virtual time between iterations. 0 disables the scrubber.
   uint32_t scrub_pages_per_iter = 0;
-  /// Modeled virtual-time cost of one checksum verification.
-  TimeNs crc_verify_ns = 1 * kNsPerUs;
 
-  /// --- Durability & replication (FAULTS.md "Durability & failover").
-  /// All defaults keep the subsystem disabled: no replica routing, no
-  /// journals, no mutation stream, and RESULT_JSON bit-identical to the
-  /// pre-replication build.
-  /// Copies of every page across the striped devices (replica r of page p
-  /// lives on device (p + r) % n_ssd). 1 = single-copy (off); > 1 turns
-  /// on replica-aware read routing and write fan-out.
-  int replication_factor = 1;
-  /// Journal fan-outs that must fsync before a record is quorum-durable.
-  /// 0 = majority (factor / 2 + 1).
-  int write_quorum = 0;
-  /// Journaled feature-row overwrites submitted per training iteration.
-  /// > 0 enables the journaled write path (mutation stream + applier).
-  uint32_t updates_per_iter = 0;
-  /// Journaled edge insert/delete records submitted per iteration
-  /// (durably logged and counted; not folded into the CSC topology).
-  uint32_t edge_ops_per_iter = 0;
-  /// Seed the mutation stream is a pure function of.
-  uint64_t mutation_seed = 0x6d7574a73ull;
   /// Durability level mutations are acknowledged at:
   /// none | journaled | synced | quorum.
   std::string durability = "quorum";
@@ -250,10 +196,14 @@ struct GidsOptions {
     o.use_accumulator = false;
     o.use_window_buffering = false;
     o.use_cpu_buffer = false;
-    o.cache_policy = storage::CachePolicyKind::kRandom;
     o.display_name = "BaM";
     return o;
   }
+
+  /// InvalidArgument for values the loader cannot honor on an
+  /// `n_ssd`-device array. The loader constructor CHECKs it; callers
+  /// holding user input call it first to report the error instead.
+  Status Validate(int n_ssd) const;
 };
 
 /// The GIDS dataloader (§3): GPU-side sampling over CPU-pinned structure,
@@ -286,6 +236,8 @@ class GidsLoader : public loaders::DataLoader {
   /// The plugged cache policy (owned unless shared_cache_policy was set).
   const storage::CachePolicy& cache_policy() const { return *policy_; }
   const storage::StorageArray& storage_array() const { return *storage_; }
+  /// The journaled mutation stream (null when no mutations are set).
+  const MutationStream* mutation_stream() const { return mutations_.get(); }
   /// The host data-preparation pool (null when host_threads == 1 and
   /// prefetch is off).
   const ThreadPool* host_pool() const { return pool_.get(); }

@@ -49,8 +49,6 @@ StatusOr<MultiGpuResult> RunMultiGpu(const graph::Dataset& dataset,
   if (options.share_cache_policy) {
     shared_policy = storage::MakeCachePolicy(options.loader.cache_policy);
     SeedCachePolicy(shared_policy.get(), dataset, *samplers[0], batch_size,
-                    options.loader.hot_metric,
-                    (seed ^ 0x61d5) ^ 0xb0f,
                     options.loader.presample_seed,
                     options.loader.presample_iterations, nullptr);
   }

@@ -9,7 +9,7 @@ namespace gids::core {
 
 MutationStream::MutationStream(const graph::FeatureStore* features,
                                const MutationStreamOptions& options)
-    : features_(features), options_(options), rng_(options.seed) {
+    : features_(features), options_(options), rng_(options.mutation_seed) {
   GIDS_CHECK(features_ != nullptr);
   GIDS_CHECK(features_->num_nodes() > 0);
   row_scratch_.resize(features_->feature_dim());

@@ -18,9 +18,10 @@ namespace gids::core {
 struct MutationStreamOptions {
   uint32_t updates_per_iter = 0;   // feature-row overwrites per iteration
   uint32_t edge_ops_per_iter = 0;  // edge insert/delete records per iteration
-  uint64_t seed = 0x6d7574a73ull;
+  uint64_t mutation_seed = 0x6d7574a73ull;
 
   bool enabled() const { return updates_per_iter + edge_ops_per_iter > 0; }
+  bool operator==(const MutationStreamOptions&) const = default;
 };
 
 /// Deterministic generator + submission driver of the journaled write

@@ -50,30 +50,17 @@ PresampleResult RunPresamplePass(const graph::Dataset& dataset,
 void SeedCachePolicy(storage::CachePolicy* policy,
                      const graph::Dataset& dataset,
                      sampling::Sampler& sampler, uint32_t batch_size,
-                     HotMetric hot_metric, uint64_t hot_seed,
                      uint64_t presample_seed, uint32_t presample_iterations,
                      Workspace<uint64_t>* counts) {
   GIDS_CHECK(policy != nullptr);
-  switch (policy->kind()) {
-    case storage::CachePolicyKind::kPageRankHot:
-      policy->IngestHotRanking(
-          HotMetricRanking(dataset.graph, hot_metric, hot_seed));
-      break;
-    case storage::CachePolicyKind::kPresample: {
-      Workspace<uint64_t> local;
-      Workspace<uint64_t>* table = counts != nullptr ? counts : &local;
-      PresampleResult r = RunPresamplePass(dataset, sampler, batch_size,
-                                           presample_seed,
-                                           presample_iterations, table);
-      if (r.iterations > 0) {
-        policy->IngestNodeFrequencies(table->span(), dataset.features);
-      }
-      break;
-    }
-    case storage::CachePolicyKind::kRandom:
-    case storage::CachePolicyKind::kWindow:
-    case storage::CachePolicyKind::kGinexBelady:
-      break;
+  if (policy->kind() != storage::CachePolicyKind::kPresample) return;
+  Workspace<uint64_t> local;
+  Workspace<uint64_t>* table = counts != nullptr ? counts : &local;
+  PresampleResult r = RunPresamplePass(dataset, sampler, batch_size,
+                                       presample_seed, presample_iterations,
+                                       table);
+  if (r.iterations > 0) {
+    policy->IngestNodeFrequencies(table->span(), dataset.features);
   }
 }
 

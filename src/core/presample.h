@@ -5,7 +5,6 @@
 #include <span>
 
 #include "common/workspace_pool.h"
-#include "core/constant_cpu_buffer.h"
 #include "graph/dataset.h"
 #include "sampling/sampler.h"
 #include "storage/cache_policy.h"
@@ -40,17 +39,14 @@ PresampleResult RunPresamplePass(const graph::Dataset& dataset,
                                  uint32_t iterations,
                                  Workspace<uint64_t>* counts);
 
-/// Seeds `policy` with the ranking its kind needs, as GidsLoader does for
-/// the policy it owns: kPageRankHot ingests the structural hot-metric
-/// ranking; kPresample runs RunPresamplePass and ingests the frequency
-/// table (into `counts` when non-null, so the caller can keep
-/// accumulating live counts); other kinds need no seeding. Exposed for
-/// shared-policy hosts (RunMultiGpu) that must seed once before handing
-/// the policy to many loaders.
+/// Seeds a kPresample `policy` as GidsLoader does for the policy it owns:
+/// runs RunPresamplePass and ingests the frequency table (into `counts`
+/// when non-null, so the caller can keep accumulating live counts). Other
+/// kinds need no seeding. Exposed for shared-policy hosts (RunMultiGpu)
+/// that must seed once before handing the policy to many loaders.
 void SeedCachePolicy(storage::CachePolicy* policy,
                      const graph::Dataset& dataset,
                      sampling::Sampler& sampler, uint32_t batch_size,
-                     HotMetric hot_metric, uint64_t hot_seed,
                      uint64_t presample_seed, uint32_t presample_iterations,
                      Workspace<uint64_t>* counts);
 

@@ -15,8 +15,6 @@ struct KindName {
 
 constexpr KindName kKindNames[] = {
     {CachePolicyKind::kRandom, "random"},
-    {CachePolicyKind::kWindow, "window"},
-    {CachePolicyKind::kPageRankHot, "pagerank"},
     {CachePolicyKind::kGinexBelady, "belady"},
     {CachePolicyKind::kPresample, "presample"},
 };
@@ -53,8 +51,6 @@ void CachePolicy::IngestFutureAccess(uint64_t /*page*/) {}
 void CachePolicy::IngestNodeFrequencies(
     std::span<const uint64_t> /*node_counts*/,
     const graph::FeatureStore& /*layout*/) {}
-void CachePolicy::IngestHotRanking(
-    std::vector<graph::NodeId> /*hottest_first*/) {}
 bool CachePolicy::ProvidesHotRanking() const { return false; }
 std::vector<graph::NodeId> CachePolicy::HotNodeRanking() const { return {}; }
 
@@ -107,13 +103,6 @@ void CachePolicy::BindMetrics(obs::MetricRegistry* registry,
 // ---------------------------------------------------------------------------
 // RandomEvictionPolicy
 
-RandomEvictionPolicy::RandomEvictionPolicy(CachePolicyKind kind)
-    : kind_(kind) {
-  GIDS_CHECK(kind == CachePolicyKind::kRandom ||
-             kind == CachePolicyKind::kWindow ||
-             kind == CachePolicyKind::kPageRankHot);
-}
-
 std::unique_ptr<CachePolicy::ShardState> RandomEvictionPolicy::MakeShardState(
     uint32_t /*shard_index*/, uint64_t shard_seed, uint64_t /*num_lines*/) {
   auto state = std::make_unique<RngState>();
@@ -139,24 +128,6 @@ size_t RandomEvictionPolicy::SelectVictim(ShardState& state,
   }
   stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
   return kNoVictim;
-}
-
-void RandomEvictionPolicy::IngestHotRanking(
-    std::vector<graph::NodeId> hottest_first) {
-  std::lock_guard<std::mutex> lock(rank_mu_);
-  ranking_ = std::move(hottest_first);
-  stats_.rank_ingests.fetch_add(1, std::memory_order_relaxed);
-  stats_.ranked_nodes.store(ranking_.size(), std::memory_order_relaxed);
-}
-
-bool RandomEvictionPolicy::ProvidesHotRanking() const {
-  std::lock_guard<std::mutex> lock(rank_mu_);
-  return !ranking_.empty();
-}
-
-std::vector<graph::NodeId> RandomEvictionPolicy::HotNodeRanking() const {
-  std::lock_guard<std::mutex> lock(rank_mu_);
-  return ranking_;
 }
 
 // ---------------------------------------------------------------------------
@@ -339,9 +310,7 @@ uint64_t PresamplePolicy::PagePriority(uint64_t page) const {
 std::unique_ptr<CachePolicy> MakeCachePolicy(CachePolicyKind kind) {
   switch (kind) {
     case CachePolicyKind::kRandom:
-    case CachePolicyKind::kWindow:
-    case CachePolicyKind::kPageRankHot:
-      return std::make_unique<RandomEvictionPolicy>(kind);
+      return std::make_unique<RandomEvictionPolicy>();
     case CachePolicyKind::kGinexBelady:
       return std::make_unique<GinexBeladyPolicy>();
     case CachePolicyKind::kPresample:

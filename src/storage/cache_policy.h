@@ -19,21 +19,16 @@
 
 namespace gids::storage {
 
-/// Which replacement/admission policy drives the software cache and the
-/// static hot-node residency. See CACHING.md for the canonical semantics,
-/// determinism guarantees, and a selection decision table.
+/// Which replacement/admission policy drives the software cache. See
+/// CACHING.md for the canonical semantics, determinism guarantees, and a
+/// selection decision table. Window pinning and the CPU hot buffer are
+/// loader techniques (GidsOptions::use_window_buffering, use_cpu_buffer)
+/// that compose with every policy.
 enum class CachePolicyKind : uint8_t {
   /// BaM §3.4: bounded random probing for a Safe-to-Evict victim, no
-  /// admission control, no static residency ranking. The historical
-  /// SoftwareCache behavior — every default config maps here or below.
+  /// admission control, no residency ranking. The historical
+  /// SoftwareCache behavior and the default.
   kRandom = 0,
-  /// kRandom plus window-buffer future-reuse pinning (GIDS Fig. 6). The
-  /// pin bookkeeping itself lives in the host (WindowBuffer +
-  /// SoftwareCache USE states); the policy only names the stack.
-  kWindow,
-  /// kWindow plus a static CPU hot buffer ranked by a structural metric
-  /// (weighted reverse PageRank by default, §3.3). The repo's default.
-  kPageRankHot,
   /// Ginex-style Belady: evict the resident page whose next registered
   /// use is farthest in the future (absent = infinitely far); refuse to
   /// admit a page used later than every resident candidate. Needs the
@@ -47,8 +42,8 @@ enum class CachePolicyKind : uint8_t {
   kPresample,
 };
 
-/// Stable lower-case name ("random", "window", "pagerank", "belady",
-/// "presample") — the `gids_cli --cache-policy` vocabulary.
+/// Stable lower-case name ("random", "belady", "presample") — the
+/// `gids_cli --cache-policy` vocabulary.
 const char* CachePolicyKindName(CachePolicyKind kind);
 
 /// Parses CachePolicyKindName() strings. Returns false on unknown names.
@@ -71,7 +66,7 @@ struct CachePolicyStats {
 };
 
 /// Replacement/admission strategy plugged into SoftwareCache (victim
-/// choice) and read by GidsLoader (static-residency ranking). One policy
+/// choice) and read by GidsLoader (presample residency ranking). One policy
 /// instance serves every shard of one cache — per-shard mutable state
 /// lives in ShardState objects the host stores under its shard locks, so
 /// SelectVictim needs no internal locking for the common policies and the
@@ -158,11 +153,6 @@ class CachePolicy {
   virtual void IngestNodeFrequencies(std::span<const uint64_t> node_counts,
                                      const graph::FeatureStore& layout);
 
-  /// Structural-rank feed: a hottest-first node order (e.g. weighted
-  /// reverse PageRank) pushed by the host for policies whose residency
-  /// ranking is computed outside the policy.
-  virtual void IngestHotRanking(std::vector<graph::NodeId> hottest_first);
-
   /// True when the policy carries a node ranking the host should use to
   /// seed the static CPU buffer (instead of recomputing a structural
   /// metric).
@@ -197,34 +187,23 @@ class CachePolicy {
   AtomicStats stats_;
 };
 
-/// Random eviction (kRandom / kWindow / kPageRankHot): bounded random
-/// probing for a Safe-to-Evict line on a per-shard xoshiro256** stream —
-/// bit-identical to the pre-framework SoftwareCache eviction loop. For
-/// kPageRankHot the host ingests the structural ranking via
-/// IngestHotRanking and reads it back when pinning the CPU buffer; victim
-/// selection is unchanged.
+/// Random eviction (kRandom): bounded random probing for a Safe-to-Evict
+/// line on a per-shard xoshiro256** stream — bit-identical to the
+/// pre-framework SoftwareCache eviction loop.
 class RandomEvictionPolicy : public CachePolicy {
  public:
-  explicit RandomEvictionPolicy(CachePolicyKind kind = CachePolicyKind::kRandom);
-
-  CachePolicyKind kind() const override { return kind_; }
+  CachePolicyKind kind() const override { return CachePolicyKind::kRandom; }
   std::unique_ptr<ShardState> MakeShardState(uint32_t shard_index,
                                              uint64_t shard_seed,
                                              uint64_t num_lines) override;
   size_t SelectVictim(ShardState& state, const ShardLineView& lines,
                       uint64_t incoming_page, int max_probes,
                       uint64_t* probe_skips) override;
-  void IngestHotRanking(std::vector<graph::NodeId> hottest_first) override;
-  bool ProvidesHotRanking() const override;
-  std::vector<graph::NodeId> HotNodeRanking() const override;
 
  private:
   struct RngState final : ShardState {
     Rng rng;
   };
-  CachePolicyKind kind_;
-  mutable std::mutex rank_mu_;
-  std::vector<graph::NodeId> ranking_;
 };
 
 /// Ginex-style Belady replacement over the registered look-ahead window:

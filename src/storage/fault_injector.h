@@ -89,6 +89,7 @@ struct FaultOptions {
            stuck_queue_rate > 0.0 || !offline_devices.empty() ||
            corruption_rate > 0.0;
   }
+  bool operator==(const FaultOptions&) const = default;
 };
 
 /// Deterministic, seed-driven fault source for the storage stack.

@@ -11,8 +11,8 @@
 namespace gids::storage {
 
 /// Knobs of the end-to-end integrity layer (INTEGRITY.md). All default to
-/// off: with every field at its default the read path is byte-for-byte the
-/// pre-integrity fast path and benchmark output is bit-identical.
+/// off: with every field at its default the read path and benchmark
+/// output are bit-identical to a build without the layer.
 struct IntegrityOptions {
   /// Verify the page checksum on every storage read (StorageArray). A
   /// mismatch is treated as a failed attempt and re-read under the
@@ -38,6 +38,7 @@ struct IntegrityOptions {
   bool enabled() const {
     return verify_reads || verify_cache_fill || verify_cache_hit;
   }
+  bool operator==(const IntegrityOptions&) const = default;
 };
 
 /// Computes page-tagged CRC-32C checksums: Checksum(page, bytes) mixes the

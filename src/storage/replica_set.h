@@ -35,6 +35,7 @@ struct ReplicaOptions {
     if (write_quorum > 0) return write_quorum;
     return replication_factor / 2 + 1;
   }
+  bool operator==(const ReplicaOptions&) const = default;
 };
 
 /// Placement and freshness view of the replica set. Placement is pure

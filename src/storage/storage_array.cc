@@ -171,20 +171,6 @@ uint32_t StorageArray::ExpectedChecksum(uint64_t page) {
 Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
                               ReadOutcome* oc) {
   const bool verify = integrity_.verify_reads;
-  if (injector_ == nullptr && !verify) {
-    // Fault-free fast path: one doorbell, one (optional) device read.
-    GIDS_RETURN_IF_ERROR(queues_.RoundTrip(page));
-    if (!out.empty()) {
-      GIDS_RETURN_IF_ERROR(ReadCleanPage(page, out));
-      if (oc != nullptr && integrity_.enabled()) {
-        oc->crc = ExpectedChecksum(page);
-        oc->crc_known = true;
-      }
-    }
-    CountRead(page, DeviceFor(page));
-    return Status::OK();
-  }
-
   // Bounded-retry loop. Every attempt is a fresh NVMe command (its own
   // doorbell); failed attempts back off exponentially in virtual time.
   // All decisions are pure functions of (fault_seed, page, attempt) and
@@ -194,17 +180,11 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
   // page is re-read. With a replica set installed, each attempt is first
   // routed to a healthy, fresh replica (primary preferred) instead of
   // pinning the page to its striped home — a device taken offline
-  // mid-epoch degrades to a failover read, not a zero-fill.
+  // mid-epoch degrades to a failover read, not a zero-fill. Without an
+  // injector or verification the first attempt always wins.
   const int primary = DeviceFor(page);
   const TimeNs base_latency = spec_.read_latency_ns;
   const TimeNs now_ns = clock_ns();
-  std::function<bool(int)> healthy;
-  if (replicas_ != nullptr) {
-    healthy = [this, now_ns](int d) {
-      return injector_ == nullptr ||
-             !injector_->options().DeviceOffline(d, now_ns);
-    };
-  }
   TimeNs penalty_ns = 0;  // virtual time beyond one fault-free service
   TimeNs crc_ns = 0;      // checksum-verification share of penalty_ns
   const uint32_t attempts = retry_.max_retries + 1;
@@ -216,8 +196,15 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
     int device = primary;
     int replica = 0;
     if (replicas_ != nullptr) {
-      device = replicas_->RouteAttempt(page, attempt, healthy, &replica,
-                                       &quorum_lost);
+      // The health view is built here, not hoisted out of the loop: a
+      // std::function local measurably slows every unreplicated read.
+      device = replicas_->RouteAttempt(
+          page, attempt,
+          [this, now_ns](int d) {
+            return injector_ == nullptr ||
+                   !injector_->options().DeviceOffline(d, now_ns);
+          },
+          &replica, &quorum_lost);
     }
     FaultInjector::Attempt a;
     if (injector_ != nullptr) {

@@ -33,13 +33,13 @@ namespace gids::storage {
 /// bytes); the control plane records per-device request counts so the
 /// timing models can split closed-loop windows across devices.
 ///
-/// With fault injection enabled (EnableFaultInjection, FAULTS.md), every
-/// read runs a bounded-retry loop: failed attempts back off exponentially
-/// in virtual time and re-ring the doorbell; reads that exhaust their
-/// retries are dead-lettered and surface as Status::Unavailable, which the
-/// gather layer turns into a degraded (zero-filled, flagged) node instead
-/// of a failed epoch. Without an injector the read path is byte-for-byte
-/// the fault-free fast path.
+/// Every read runs one bounded-retry loop. With fault injection enabled
+/// (EnableFaultInjection, FAULTS.md), failed attempts back off
+/// exponentially in virtual time and re-ring the doorbell; reads that
+/// exhaust their retries are dead-lettered and surface as
+/// Status::Unavailable, which the gather layer turns into a degraded
+/// (zero-filled, flagged) node instead of a failed epoch. Without an
+/// injector or verification the first attempt always wins.
 ///
 /// With integrity verification enabled (EnableIntegrity, INTEGRITY.md),
 /// every served attempt is checked against the page's write-time CRC-32C;
@@ -327,7 +327,7 @@ class StorageArray {
   sim::SsdSpec spec_;
   int n_ssd_;
   QueueManager queues_;
-  std::unique_ptr<FaultInjector> injector_;  // null = fault-free fast path
+  std::unique_ptr<FaultInjector> injector_;  // null = fault-free
   RetryPolicy retry_;
   IntegrityOptions integrity_;
   PageChecksummer checksummer_{IntegrityOptions{}.crc_seed};

@@ -25,8 +25,8 @@ namespace {
 using gids::testing::LoaderRig;
 
 const CachePolicyKind kAllKinds[] = {
-    CachePolicyKind::kRandom,        CachePolicyKind::kWindow,
-    CachePolicyKind::kPageRankHot,   CachePolicyKind::kGinexBelady,
+    CachePolicyKind::kRandom,
+    CachePolicyKind::kGinexBelady,
     CachePolicyKind::kPresample,
 };
 
@@ -54,6 +54,9 @@ TEST(CachePolicyKindTest, NameParseRoundTrip) {
   CachePolicyKind parsed;
   EXPECT_FALSE(ParseCachePolicyKind("lru", &parsed));
   EXPECT_FALSE(ParseCachePolicyKind("", &parsed));
+  // Window pinning and the hot buffer are loader techniques, not policies.
+  EXPECT_FALSE(ParseCachePolicyKind("window", &parsed));
+  EXPECT_FALSE(ParseCachePolicyKind("pagerank", &parsed));
 }
 
 // A fixed mixed access stream (reuse registrations + touches + inserts)
@@ -328,7 +331,7 @@ TEST(CachePolicyLoaderTest, PresampleRerankIsReproducible) {
 TEST(CachePolicyMultiGpuTest, SharedPolicyIsDeterministic) {
   LoaderRig rig;
   for (CachePolicyKind kind :
-       {CachePolicyKind::kPageRankHot, CachePolicyKind::kPresample}) {
+       {CachePolicyKind::kRandom, CachePolicyKind::kPresample}) {
     core::MultiGpuOptions options;
     options.num_gpus = 2;
     options.share_cache_policy = true;

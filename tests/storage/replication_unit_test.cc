@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -186,6 +187,24 @@ TEST(ReplicationTest, FailoverCountersAreDeterministic) {
     };
   };
   EXPECT_EQ(run(), run());
+}
+
+// Replication without faults still routes every read through the replica
+// set, so each read counts into its serving replica's series: the primary
+// serves them all, in byte-moving and counting mode alike.
+TEST(ReplicationTest, ReplicaReadsCountFaultFreeReads) {
+  ReplicatedRig rig(/*n_ssd=*/4, /*factor=*/2, /*offline=*/{});
+  ASSERT_EQ(rig.array->fault_injector(), nullptr);
+  std::vector<std::byte> buf(rig.array->page_bytes());
+  for (uint64_t page = 0; page < 64; ++page) {
+    std::span<std::byte> out = page % 2 == 0 ? std::span<std::byte>(buf)
+                                             : std::span<std::byte>();
+    ASSERT_TRUE(rig.array->ReadPage(page, out).ok());
+  }
+  EXPECT_EQ(rig.array->total_reads(), 64u);
+  EXPECT_EQ(rig.array->reads_by_replica(0), rig.array->total_reads());
+  EXPECT_EQ(rig.array->reads_by_replica(1), 0u);
+  EXPECT_EQ(rig.array->replica_failovers_total(), 0u);
 }
 
 }  // namespace

@@ -4,13 +4,15 @@
 #   1. Every relative markdown link in tracked *.md files must resolve to
 #      a file or directory in the repository (http(s)/mailto/anchor-only
 #      links are skipped; "#section" fragments are stripped first).
-#   2. Every GidsOptions field (src/core/gids_loader.h), every
-#      FaultOptions field (src/storage/fault_injector.h), every
-#      IntegrityOptions field (src/storage/page_integrity.h), every
-#      ServingOptions field (src/serving/inference_server.h), and every
-#      gids_cli flag (tools/gids_cli.cc) must be mentioned in README.md,
-#      FAULTS.md, INTEGRITY.md or CACHING.md, so new knobs cannot land
-#      undocumented.
+#   2. Every field of GidsOptions (src/core/gids_loader.h) and of the
+#      option structs it inherits — FaultOptions
+#      (src/storage/fault_injector.h), IntegrityOptions
+#      (src/storage/page_integrity.h), ReplicaOptions
+#      (src/storage/replica_set.h), MutationStreamOptions
+#      (src/core/mutation_stream.h) — every ServingOptions field
+#      (src/serving/inference_server.h), and every gids_cli flag
+#      (tools/gids_cli.cc) must be mentioned in README.md, FAULTS.md,
+#      INTEGRITY.md or CACHING.md, so new knobs cannot land undocumented.
 #   3. Every cache-policy name in the parse table
 #      (src/storage/cache_policy.cc) must appear in the corpus, and the
 #      CachePolicyKind enum (src/storage/cache_policy.h) must have
@@ -48,22 +50,26 @@ done < <(git ls-files '*.md')
 doc_corpus=$(cat README.md FAULTS.md INTEGRITY.md CACHING.md)
 
 # Option-struct fields: lines like "  <type> name = default;" inside the
-# struct. Take the identifier immediately left of '='.
+# struct (a defaulted operator== is not a field). Take the identifier
+# immediately left of '='. The opening line is "struct Name {" or, for a
+# struct with bases, "struct Name : Base...".
 struct_fields() {  # struct_fields <StructName> <header>
-  awk "/^struct $1 \\{/,/^\\};/" "$2" |
-    grep -E '^  [A-Za-z_].*=.*;' |
+  awk "/^struct $1[ :{]/,/^\\};/" "$2" |
+    grep -E '^  [A-Za-z_].*=.*;' | grep -v ' operator' |
     sed -E 's/ *=.*$//; s/.*[ *&]//'
 }
 fields=""
 for spec in "GidsOptions src/core/gids_loader.h" \
             "FaultOptions src/storage/fault_injector.h" \
             "IntegrityOptions src/storage/page_integrity.h" \
+            "ReplicaOptions src/storage/replica_set.h" \
+            "MutationStreamOptions src/core/mutation_stream.h" \
             "ServingOptions src/serving/inference_server.h"; do
   set -- $spec
   for field in $(struct_fields "$1" "$2"); do
     fields="$fields $field"
     if ! grep -qw -- "$field" <<<"$doc_corpus"; then
-      echo "docs-lint: $1::$field not documented in README.md, FAULTS.md or INTEGRITY.md"
+      echo "docs-lint: $1::$field not documented in README.md, FAULTS.md, INTEGRITY.md or CACHING.md"
       fail=1
     fi
   done

@@ -360,15 +360,14 @@ int CmdRun(const Flags& flags) {
           report_top_k, obs::ExemplarReservoir::RankBy::kMostFailovers);
       opts.failover_exemplars = failover_exemplars.get();
     }
-    // Cache policy selection (CACHING.md). The default keeps the kind the
-    // loader preset chose (pagerank for gids, random for bam).
+    // Cache policy selection (CACHING.md); random unless named.
     if (flags.Has("cache-policy")) {
       std::string policy_name = flags.Get("cache-policy", "");
       storage::CachePolicyKind policy_kind;
       if (!storage::ParseCachePolicyKind(policy_name, &policy_kind)) {
         std::fprintf(stderr,
-                     "unknown --cache-policy '%s' (random, window, "
-                     "pagerank, belady, presample)\n",
+                     "unknown --cache-policy '%s' (random, belady, "
+                     "presample)\n",
                      policy_name.c_str());
         return 2;
       }
@@ -382,6 +381,11 @@ int CmdRun(const Flags& flags) {
         static_cast<uint64_t>(flags.GetInt("presample-seed", 0x9e5a));
     opts.presample_rerank_groups =
         static_cast<uint32_t>(flags.GetCount("presample-rerank-groups", 0));
+    if (Status valid = opts.Validate(cfg.n_ssd); !valid.ok()) {
+      std::fprintf(stderr, "gids_cli: invalid options: %s\n",
+                   valid.message().c_str());
+      return 2;
+    }
     if (opts.use_cpu_buffer &&
         opts.cache_policy != storage::CachePolicyKind::kPresample) {
       // The presample policy ranks the buffer itself; every other kind
@@ -679,7 +683,7 @@ void Usage() {
       "            --coalesce-pages (one round-trip per distinct page)\n"
       "            --no-workspace-pool (scratch via plain malloc/free;\n"
       "             bit-identical escape hatch, DESIGN.md §11)\n"
-      "            --cache-policy random|window|pagerank|belady|presample\n"
+      "            --cache-policy random|belady|presample\n"
       "            --presample-iters N --presample-seed N\n"
       "            --presample-rerank-groups G\n"
       "            (cache replacement/admission policy; see CACHING.md)\n"
