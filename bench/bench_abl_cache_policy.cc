@@ -144,7 +144,7 @@ double ReplayStackHitRate(
   }
 
   storage::SoftwareCache cache(kCachePages * fs.page_bytes(),
-                               fs.page_bytes(), /*seed=*/3,
+                               fs.page_bytes(), fs.num_pages(), /*seed=*/3,
                                /*store_payloads=*/false, /*num_shards=*/0,
                                policy.get());
   const int window = stack.window_depth;

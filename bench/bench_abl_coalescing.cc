@@ -66,7 +66,8 @@ SweepResult RunSweep(uint32_t dim, double skew, bool coalesce,
       [&fs](uint64_t lba, std::span<std::byte> out) { fs.FillPage(lba, out); });
   storage::StorageArray array(std::move(dev), sim::SsdSpec::IntelOptane(), 1);
   storage::SoftwareCache cache(kCacheLines * fs.page_bytes(), fs.page_bytes(),
-                               /*seed=*/0xcac4e, /*store_payloads=*/false,
+                               fs.num_pages(), /*seed=*/0xcac4e,
+                               /*store_payloads=*/false,
                                /*num_shards=*/4);
   storage::BamArray bam(&array, &cache);
   storage::FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr, pool,

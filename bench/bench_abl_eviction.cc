@@ -20,11 +20,14 @@
 namespace gids::bench {
 namespace {
 
-// Per-iteration page traces from the real sampler.
-std::vector<std::vector<uint64_t>> CollectTrace(int iterations) {
+// Per-iteration page traces from the real sampler; `*num_pages` receives
+// the size of the page space they index.
+std::vector<std::vector<uint64_t>> CollectTrace(int iterations,
+                                                uint64_t* num_pages) {
   ProxyConfig cfg;
   cfg.spec = graph::DatasetSpec::IgbFull();
   Rig rig = BuildRig(cfg);
+  *num_pages = rig.dataset->features.num_pages();
   std::vector<std::vector<uint64_t>> trace(iterations);
   for (int i = 0; i < iterations; ++i) {
     auto batch = rig.sampler->Sample(rig.seeds->NextBatch());
@@ -41,9 +44,9 @@ std::vector<std::vector<uint64_t>> CollectTrace(int iterations) {
 constexpr uint64_t kCachePages = 8192;  // 8 GB at 1/256 scale / 4 KiB
 
 double RandomPolicy(const std::vector<std::vector<uint64_t>>& trace,
-                    int window_depth) {
-  storage::SoftwareCache cache(kCachePages * 4096, 4096, /*seed=*/3,
-                               /*store_payloads=*/false);
+                    uint64_t num_pages, int window_depth) {
+  storage::SoftwareCache cache(kCachePages * 4096, 4096, num_pages,
+                               /*seed=*/3, /*store_payloads=*/false);
   // Window buffering: register `window_depth` iterations ahead.
   for (int ahead = 0; ahead < window_depth && ahead < (int)trace.size();
        ++ahead) {
@@ -88,9 +91,10 @@ void BM_EvictionPolicies(benchmark::State& state) {
   double lru = 0;
   double belady = 0;
   for (auto _ : state) {
-    auto trace = CollectTrace(60);
-    random = RandomPolicy(trace, 0);
-    window = RandomPolicy(trace, 8);
+    uint64_t num_pages = 0;
+    auto trace = CollectTrace(60, &num_pages);
+    random = RandomPolicy(trace, num_pages, 0);
+    window = RandomPolicy(trace, num_pages, 8);
     lru = LruPolicy(trace);
     belady = BeladyPolicy(trace);
   }

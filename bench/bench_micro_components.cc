@@ -18,11 +18,11 @@ namespace gids {
 namespace {
 
 void BM_SoftwareCacheLookupInsert(benchmark::State& state) {
+  uint64_t space = state.range(0) * 8;  // 12.5% fits
   storage::SoftwareCache cache(
-      static_cast<uint64_t>(state.range(0)) * 4096, 4096, /*seed=*/1,
+      static_cast<uint64_t>(state.range(0)) * 4096, 4096, space, /*seed=*/1,
       /*store_payloads=*/false);
   Rng rng(2);
-  uint64_t space = state.range(0) * 8;  // 12.5% fits
   for (auto _ : state) {
     uint64_t page = rng.UniformInt(space);
     if (!cache.Lookup(page)) cache.Insert(page);
@@ -32,7 +32,7 @@ void BM_SoftwareCacheLookupInsert(benchmark::State& state) {
 BENCHMARK(BM_SoftwareCacheLookupInsert)->Arg(1 << 10)->Arg(1 << 16);
 
 void BM_SoftwareCacheWithPinning(benchmark::State& state) {
-  storage::SoftwareCache cache(4096 * 4096, 4096, 1, false);
+  storage::SoftwareCache cache(4096 * 4096, 4096, 32768, 1, false);
   Rng rng(3);
   for (auto _ : state) {
     uint64_t page = rng.UniformInt(32768);

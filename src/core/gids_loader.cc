@@ -115,7 +115,7 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
                              ? options_.gpu_cache_bytes
                              : cfg.scaled_gpu_cache_bytes();
   cache_ = std::make_unique<storage::SoftwareCache>(
-      cache_bytes, fs.page_bytes(), options_.seed ^ 0xcac4e,
+      cache_bytes, fs.page_bytes(), fs.num_pages(), options_.seed ^ 0xcac4e,
       /*store_payloads=*/!options_.counting_mode, options_.cache_shards,
       policy_);
   if (options_.verify_cache_fill || options_.verify_cache_hit ||

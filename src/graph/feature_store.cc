@@ -62,32 +62,28 @@ void FeatureStore::FillFeatureAt(NodeId v, uint64_t version,
 
 void FeatureStore::FillPage(uint64_t page, std::span<std::byte> out) const {
   GIDS_CHECK(out.size() == page_bytes_);
-  std::memset(out.data(), 0, out.size());
-  uint64_t page_begin = page * page_bytes_;
-  uint64_t page_end = page_begin + page_bytes_;  // exclusive
-  uint64_t file_end = total_bytes();
-  if (page_begin >= file_end) return;
-  uint64_t fb = feature_bytes_per_node();
-  NodeId first_node = static_cast<NodeId>(page_begin / fb);
-  for (NodeId v = first_node; v < num_nodes_; ++v) {
-    uint64_t node_begin = static_cast<uint64_t>(v) * fb;
-    if (node_begin >= page_end) break;
-    uint64_t node_end = node_begin + fb;
-    uint64_t lo = std::max(node_begin, page_begin);
-    uint64_t hi = std::min(node_end, page_end);
-    for (uint64_t byte = lo; byte < hi;) {
-      uint32_t elem = static_cast<uint32_t>((byte - node_begin) / sizeof(float));
-      float value = ExpectedElement(v, elem);
-      uint64_t elem_begin = node_begin + elem * sizeof(float);
-      const std::byte* value_bytes = reinterpret_cast<const std::byte*>(&value);
-      // Copy the overlap of this element with the page window.
-      uint64_t copy_lo = std::max(elem_begin, lo);
-      uint64_t copy_hi = std::min(elem_begin + sizeof(float), hi);
-      std::memcpy(out.data() + (copy_lo - page_begin),
-                  value_bytes + (copy_lo - elem_begin), copy_hi - copy_lo);
-      byte = copy_hi;
+  // Rows start at multiples of 4 * dim bytes and pages at multiples of
+  // page_bytes_, itself a multiple of 4, so no element straddles a page:
+  // the page holds whole elements [first, end) of the flat file, whose
+  // element k = v * dim + j sits at byte 4k.
+  const uint64_t first = page * (page_bytes_ / sizeof(float));
+  const uint64_t end =
+      std::min(first + page_bytes_ / sizeof(float),
+               static_cast<uint64_t>(num_nodes_) * feature_dim_);
+  std::byte* dst = out.data();
+  NodeId v = static_cast<NodeId>(first / feature_dim_);
+  uint32_t j = static_cast<uint32_t>(first % feature_dim_);
+  for (uint64_t k = first; k < end; ++k) {
+    float value = ExpectedElement(v, j);
+    std::memcpy(dst, &value, sizeof(float));
+    dst += sizeof(float);
+    if (++j == feature_dim_) {
+      j = 0;
+      ++v;
     }
   }
+  // Bytes past the end of the feature file read as zeros.
+  std::memset(dst, 0, static_cast<size_t>(out.data() + out.size() - dst));
 }
 
 }  // namespace gids::graph

@@ -117,17 +117,24 @@ size_t RandomEvictionPolicy::SelectVictim(ShardState& state,
                                           uint64_t* probe_skips) {
   stats_.victim_requests.fetch_add(1, std::memory_order_relaxed);
   Rng& rng = static_cast<RngState&>(state).rng;
+  uint64_t skips = 0;
+  size_t victim = kNoVictim;
   for (int probe = 0; probe < max_probes; ++probe) {
     size_t candidate = rng.UniformInt(lines.num_lines());
     if (lines.evictable(candidate)) {
-      stats_.victims.fetch_add(1, std::memory_order_relaxed);
-      return candidate;
+      victim = candidate;
+      break;
     }
-    ++*probe_skips;
-    stats_.probe_skips.fetch_add(1, std::memory_order_relaxed);
+    ++skips;
   }
-  stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
-  return kNoVictim;
+  *probe_skips += skips;
+  stats_.probe_skips.fetch_add(skips, std::memory_order_relaxed);
+  if (victim == kNoVictim) {
+    stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
+    return kNoVictim;
+  }
+  stats_.victims.fetch_add(1, std::memory_order_relaxed);
+  return victim;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,13 +221,13 @@ size_t PresamplePolicy::SelectVictim(ShardState& state,
     return (*prio)[page];
   };
   Rng& rng = static_cast<RngState&>(state).rng;
+  uint64_t skips = 0;
   size_t victim = kNoVictim;
   uint64_t victim_prio = 0;
   for (int probe = 0; probe < max_probes; ++probe) {
     size_t candidate = rng.UniformInt(lines.num_lines());
     if (!lines.evictable(candidate)) {
-      ++*probe_skips;
-      stats_.probe_skips.fetch_add(1, std::memory_order_relaxed);
+      ++skips;
       continue;
     }
     uint64_t p = priority_of(lines.page(candidate));
@@ -230,6 +237,8 @@ size_t PresamplePolicy::SelectVictim(ShardState& state,
       if (p == 0) break;  // coldest possible; stop probing
     }
   }
+  *probe_skips += skips;
+  stats_.probe_skips.fetch_add(skips, std::memory_order_relaxed);
   if (victim == kNoVictim) {
     stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
     return kNoVictim;

@@ -24,9 +24,13 @@ uint32_t Log2Pow2(uint32_t v) {
 }  // namespace
 
 SoftwareCache::SoftwareCache(uint64_t capacity_bytes, uint32_t line_bytes,
-                             uint64_t seed, bool store_payloads,
-                             uint32_t num_shards, CachePolicy* policy)
-    : store_payloads_(store_payloads), line_bytes_(line_bytes) {
+                             uint64_t num_pages, uint64_t seed,
+                             bool store_payloads, uint32_t num_shards,
+                             CachePolicy* policy)
+    : store_payloads_(store_payloads),
+      line_bytes_(line_bytes),
+      slot_(num_pages, kNoSlot),
+      future_reuse_(num_pages, 0) {
   GIDS_CHECK(line_bytes > 0);
   if (policy == nullptr) {
     owned_policy_ = std::make_unique<RandomEvictionPolicy>();
@@ -35,7 +39,7 @@ SoftwareCache::SoftwareCache(uint64_t capacity_bytes, uint32_t line_bytes,
     policy_ = policy;
   }
   total_lines_ = capacity_bytes / line_bytes;
-  GIDS_CHECK(total_lines_ > 0);
+  GIDS_CHECK(total_lines_ > 0 && total_lines_ < kNoSlot);
 
   uint32_t shards = num_shards == 0 ? AutoShardCount(total_lines_)
                                     : num_shards;
@@ -57,9 +61,8 @@ SoftwareCache::SoftwareCache(uint64_t capacity_bytes, uint32_t line_bytes,
     auto sh = std::make_unique<Shard>();
     sh->lines.resize(shard_lines);
     if (store_payloads_) sh->data.resize(shard_lines * line_bytes_);
-    sh->index.reserve(shard_lines * 2);
     sh->free_slots.reserve(shard_lines);
-    for (size_t s = shard_lines; s-- > 0;) sh->free_slots.push_back(s);
+    for (uint32_t s = shard_lines; s-- > 0;) sh->free_slots.push_back(s);
     sh->policy_state = policy_->MakeShardState(
         k, seed + 0x9e3779b97f4a7c15ull * k, shard_lines);
     shards_.push_back(std::move(sh));
@@ -73,21 +76,21 @@ void SoftwareCache::EnableIntegrity(const PageChecksummer* checksummer,
   verify_hit_ = verify_hit;
 }
 
-bool SoftwareCache::LineCorruptLocked(const Shard& sh, size_t slot) const {
+bool SoftwareCache::LineCorruptLocked(const Shard& sh, uint32_t slot) const {
   const Line& line = sh.lines[slot];
   if (line.corrupt_hint) return true;
   if (store_payloads_ && line.has_crc && checksummer_ != nullptr) {
-    const std::byte* data = sh.data.data() + slot * line_bytes_;
+    const std::byte* data = sh.data.data() + size_t{slot} * line_bytes_;
     return checksummer_->Checksum(line.page, data, line_bytes_) != line.crc;
   }
   return false;
 }
 
-void SoftwareCache::QuarantineLocked(Shard& sh, size_t slot) {
+void SoftwareCache::QuarantineLocked(Shard& sh, uint32_t slot) {
   Line& line = sh.lines[slot];
-  sh.index.erase(line.page);
+  slot_[line.page] = kNoSlot;
   sh.free_slots.push_back(slot);
-  // The page's future_reuse entry is deliberately kept: the quarantined
+  // The page's future_reuse_ entry is deliberately kept: the quarantined
   // access path re-reads from storage and re-inserts, and the re-insert
   // must re-pin the line or window buffering would lose its look-ahead.
   line = Line{};
@@ -96,9 +99,8 @@ void SoftwareCache::QuarantineLocked(Shard& sh, size_t slot) {
 bool SoftwareCache::Invalidate(uint64_t page) {
   Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.index.find(page);
-  if (it == sh.index.end()) return false;
-  QuarantineLocked(sh, it->second);
+  if (slot_[page] == kNoSlot) return false;
+  QuarantineLocked(sh, slot_[page]);
   return true;
 }
 
@@ -108,8 +110,7 @@ bool SoftwareCache::Lookup(uint64_t page, std::span<std::byte> out,
   Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
   ++sh.stats.lookups;
-  auto it = sh.index.find(page);
-  size_t slot = it == sh.index.end() ? kNoSlot : it->second;
+  uint32_t slot = slot_[page];
   if (slot != kNoSlot && verify_hit_ && LineCorruptLocked(sh, slot)) {
     // Mismatched line: quarantine it and serve the access as a miss; the
     // caller re-reads from storage (which repairs) and re-inserts.
@@ -125,7 +126,7 @@ bool SoftwareCache::Lookup(uint64_t page, std::span<std::byte> out,
   ConsumeReuseLocked(sh, page, slot, reuses);
   policy_->OnAccess(page, reuses, hit);
   if (hit && !out.empty()) {
-    std::memcpy(out.data(), sh.data.data() + slot * line_bytes_,
+    std::memcpy(out.data(), sh.data.data() + size_t{slot} * line_bytes_,
                 line_bytes_);
   }
   return hit;
@@ -158,24 +159,22 @@ SoftwareCache::ScrubResult SoftwareCache::ScrubShard(uint32_t shard,
 bool SoftwareCache::Contains(uint64_t page) const {
   const Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
-  return sh.index.count(page) > 0;
+  return slot_[page] != kNoSlot;
 }
 
-void SoftwareCache::ConsumeReuseLocked(Shard& sh, uint64_t page, size_t slot,
-                                       uint32_t count) {
-  auto reuse = sh.future_reuse.find(page);
-  if (reuse == sh.future_reuse.end()) return;
-  reuse->second -= std::min(reuse->second, count);
-  if (reuse->second == 0) {
-    sh.future_reuse.erase(reuse);
-    if (slot != kNoSlot && sh.lines[slot].state == LineState::kUse) {
-      sh.lines[slot].state = LineState::kSafeToEvict;
-    }
+void SoftwareCache::ConsumeReuseLocked(Shard& sh, uint64_t page,
+                                       uint32_t slot, uint32_t count) {
+  uint32_t& reuse = future_reuse_[page];
+  if (reuse == 0) return;
+  reuse -= std::min(reuse, count);
+  if (reuse == 0 && slot != kNoSlot &&
+      sh.lines[slot].state == LineState::kUse) {
+    sh.lines[slot].state = LineState::kSafeToEvict;
   }
 }
 
-size_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
-  size_t slot;
+uint32_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
+  uint32_t slot;
   if (!sh.free_slots.empty()) {
     slot = sh.free_slots.back();
     sh.free_slots.pop_back();
@@ -194,15 +193,16 @@ size_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
     View view;
     view.lines = &sh.lines;
     uint64_t skips = 0;
-    slot = policy_->SelectVictim(*sh.policy_state, view, page, max_probes_,
-                                 &skips);
+    size_t victim = policy_->SelectVictim(*sh.policy_state, view, page,
+                                          max_probes_, &skips);
     sh.stats.pinned_probe_skips += skips;
-    if (slot == CachePolicy::kNoVictim) {
+    if (victim == CachePolicy::kNoVictim) {
       ++sh.stats.bypasses;
       return kNoSlot;
     }
+    slot = static_cast<uint32_t>(victim);
     uint64_t victim_page = sh.lines[slot].page;
-    sh.index.erase(victim_page);
+    slot_[victim_page] = kNoSlot;
     ++sh.stats.evictions;
     policy_->OnEvict(victim_page);
   }
@@ -210,11 +210,9 @@ size_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
   sh.lines[slot].crc = 0;
   sh.lines[slot].has_crc = false;
   sh.lines[slot].corrupt_hint = false;
-  auto reuse = sh.future_reuse.find(page);
-  uint32_t pending = reuse == sh.future_reuse.end() ? 0 : reuse->second;
   sh.lines[slot].state =
-      pending > 0 ? LineState::kUse : LineState::kSafeToEvict;
-  sh.index.emplace(page, slot);
+      future_reuse_[page] > 0 ? LineState::kUse : LineState::kSafeToEvict;
+  slot_[page] = slot;
   ++sh.stats.insertions;
   policy_->OnInsert(page);
   return slot;
@@ -238,11 +236,8 @@ bool SoftwareCache::Insert(uint64_t page, std::span<const std::byte> payload,
       return false;
     }
   }
-  auto it = sh.index.find(page);
-  size_t slot;
-  if (it != sh.index.end()) {
-    slot = it->second;
-  } else {
+  uint32_t slot = slot_[page];
+  if (slot == kNoSlot) {
     slot = AcquireSlotLocked(sh, page);
     if (slot == kNoSlot) return false;
   }
@@ -250,7 +245,7 @@ bool SoftwareCache::Insert(uint64_t page, std::span<const std::byte> payload,
   if (!payload.empty()) {
     // Only a payload carries a checksum: a counting-mode insert leaves a
     // resident line's sum as it is (AcquireSlotLocked clears new lines).
-    std::memcpy(sh.data.data() + slot * line_bytes_, payload.data(),
+    std::memcpy(sh.data.data() + size_t{slot} * line_bytes_, payload.data(),
                 line_bytes_);
     line.crc = crc.value_or(0);
     line.has_crc = crc.has_value();
@@ -263,11 +258,8 @@ void SoftwareCache::AddFutureReuse(uint64_t page, uint32_t count) {
   if (count == 0) return;
   Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
-  sh.future_reuse[page] += count;
-  auto it = sh.index.find(page);
-  if (it != sh.index.end()) {
-    sh.lines[it->second].state = LineState::kUse;
-  }
+  future_reuse_[page] += count;
+  if (slot_[page] != kNoSlot) sh.lines[slot_[page]].state = LineState::kUse;
   // The registration stream doubles as the policy's look-ahead feed: one
   // entry per registered future access, in registration order (Belady
   // builds its next-use queues from exactly this sequence).
@@ -275,9 +267,14 @@ void SoftwareCache::AddFutureReuse(uint64_t page, uint32_t count) {
 }
 
 void SoftwareCache::ClearFutureReuse() {
+  // Every shard lock at once: the reuse table interleaves all shards'
+  // pages. Other paths hold one shard lock at a time, so taking them in
+  // index order cannot deadlock.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& sh : shards_) locks.emplace_back(sh->mu);
+  std::fill(future_reuse_.begin(), future_reuse_.end(), 0);
   for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    sh->future_reuse.clear();
     for (auto& line : sh->lines) {
       if (line.state == LineState::kUse) line.state = LineState::kSafeToEvict;
     }
@@ -288,7 +285,7 @@ uint64_t SoftwareCache::resident_lines() const {
   uint64_t n = 0;
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
-    n += sh->index.size();
+    n += sh->lines.size() - sh->free_slots.size();
   }
   return n;
 }
@@ -307,11 +304,10 @@ uint64_t SoftwareCache::pinned_lines() const {
 uint32_t SoftwareCache::FutureReuseCount(uint64_t page) const {
   const Shard& sh = shard_for(page);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.future_reuse.find(page);
-  return it == sh.future_reuse.end() ? 0 : it->second;
+  return future_reuse_[page];
 }
 
-const CacheStats& SoftwareCache::stats() const {
+CacheStats SoftwareCache::stats() const {
   CacheStats merged;
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
@@ -327,8 +323,7 @@ const CacheStats& SoftwareCache::stats() const {
     merged.scrubbed_lines += sh->stats.scrubbed_lines;
     merged.scrub_errors += sh->stats.scrub_errors;
   }
-  merged_stats_ = merged;
-  return merged_stats_;
+  return merged;
 }
 
 void SoftwareCache::ResetStats() {

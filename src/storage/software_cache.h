@@ -7,9 +7,9 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "obs/metric_registry.h"
@@ -69,7 +69,9 @@ struct CacheStats {
 ///
 /// Concurrency: the cache is lock-striped into power-of-two shards keyed
 /// by page id (multiplicative hash of the page number), each shard owning
-/// its own lines, index, future-reuse counters, stats, and eviction RNG.
+/// its own lines, stats, and eviction RNG. The per-page slot index and
+/// future-reuse counters are cache-wide dense tables; each entry belongs
+/// to its page's shard and is touched only under that shard's mutex.
 /// Operations on different shards never contend; operations on the same
 /// shard serialize under the shard mutex. The cache's observable state
 /// (hits, evictions, pins) is therefore a pure function of the *per-shard
@@ -80,6 +82,10 @@ struct CacheStats {
 /// the pre-sharding serial cache bit for bit.
 class SoftwareCache {
  public:
+  /// `num_pages` bounds the page ids the cache accepts: per-page state
+  /// lives in dense tables indexed by page id, so every entry point CHECKs
+  /// `page < num_pages`.
+  ///
   /// `store_payloads` = false builds a metadata-only cache (same hits,
   /// misses, eviction and pinning behaviour, no line payload memory); used
   /// by the counting-mode gather path that drives the large-scale timing
@@ -98,8 +104,9 @@ class SoftwareCache {
   /// stream bit for bit. External policies must outlive the cache and may
   /// be shared across caches (multi-GPU shared-policy mode).
   SoftwareCache(uint64_t capacity_bytes, uint32_t line_bytes,
-                uint64_t seed = 0xcac4e, bool store_payloads = true,
-                uint32_t num_shards = 0, CachePolicy* policy = nullptr);
+                uint64_t num_pages, uint64_t seed = 0xcac4e,
+                bool store_payloads = true, uint32_t num_shards = 0,
+                CachePolicy* policy = nullptr);
 
   /// Installs the integrity verify points (INTEGRITY.md). Each cache line
   /// carries the write-time checksum its payload arrived with (payload
@@ -146,9 +153,10 @@ class SoftwareCache {
                      shard_mask_;
   }
 
-  /// Merged view of all shard stats. Takes every shard lock; intended for
-  /// quiescent points (end of iteration, test assertions), not hot paths.
-  const CacheStats& stats() const;
+  /// Merged view of all shard stats. Takes every shard lock in turn;
+  /// intended for quiescent points (end of iteration, test assertions),
+  /// not hot paths. Safe to call from several threads at once.
+  CacheStats stats() const;
   void ResetStats();
 
   /// Exposes the cache through `registry` (pull-style: every CacheStats
@@ -246,43 +254,49 @@ class SoftwareCache {
   /// contiguous slice of the line budget with its own policy shard state
   /// (e.g. the eviction RNG), so its decisions depend only on the
   /// sequence of operations applied to it — never on sibling shards or on
-  /// which thread issued the call.
+  /// which thread issued the call. `mu` also guards the slot_ and
+  /// future_reuse_ entries of every page the shard owns.
   struct Shard {
     mutable std::mutex mu;
     std::vector<Line> lines;
-    std::vector<std::byte> data;                          // slot payloads
-    std::unordered_map<uint64_t, size_t> index;           // page -> slot
-    std::unordered_map<uint64_t, uint32_t> future_reuse;  // page -> count
-    std::vector<size_t> free_slots;
+    std::vector<std::byte> data;  // slot payloads
+    std::vector<uint32_t> free_slots;
     CacheStats stats;
     std::unique_ptr<CachePolicy::ShardState> policy_state;
     size_t scrub_cursor = 0;  // next line ScrubShard resumes from
   };
 
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  Shard& shard_for(uint64_t page) { return *shards_[ShardFor(page)]; }
+  /// The shard owning `page`, after the range check every entry point
+  /// makes: pages come from FeatureStore::PagesFor, so an out-of-range
+  /// page is a broken invariant.
+  Shard& shard_for(uint64_t page) {
+    GIDS_CHECK(page < slot_.size());
+    return *shards_[ShardFor(page)];
+  }
   const Shard& shard_for(uint64_t page) const {
+    GIDS_CHECK(page < slot_.size());
     return *shards_[ShardFor(page)];
   }
 
   /// Decrements `page`'s future-reuse counter (if any) by up to `count`;
   /// unpins the line at `slot` when the counter drains. Pass kNoSlot for
   /// non-resident pages. Caller holds sh.mu.
-  static void ConsumeReuseLocked(Shard& sh, uint64_t page, size_t slot,
-                                 uint32_t count);
+  void ConsumeReuseLocked(Shard& sh, uint64_t page, uint32_t slot,
+                          uint32_t count);
   /// Shared placement logic; returns the slot or kNoSlot on bypass.
   /// Caller holds sh.mu.
-  size_t AcquireSlotLocked(Shard& sh, uint64_t page);
-  /// Removes the mismatched line at `slot` from the shard: index entry
-  /// erased, slot freed, line emptied. The page's future-reuse entry (if
+  uint32_t AcquireSlotLocked(Shard& sh, uint64_t page);
+  /// Removes the mismatched line at `slot` from the shard: slot entry
+  /// cleared, slot freed, line emptied. The page's future-reuse entry (if
   /// any) survives, so a repairing re-insert re-pins the line and window
   /// buffering keeps its look-ahead guarantees. Caller holds sh.mu.
-  void QuarantineLocked(Shard& sh, size_t slot);
+  void QuarantineLocked(Shard& sh, uint32_t slot);
   /// True when the resident line at `slot` fails its integrity check
   /// (payload CRC mismatch, or a counting-mode corrupt hint). Caller
   /// holds sh.mu.
-  bool LineCorruptLocked(const Shard& sh, size_t slot) const;
+  bool LineCorruptLocked(const Shard& sh, uint32_t slot) const;
 
   bool store_payloads_;
   uint32_t line_bytes_;
@@ -296,7 +310,11 @@ class SoftwareCache {
   uint32_t shard_mask_ = 0;   // num_shards - 1
   uint32_t shard_shift_ = 64; // 64 - log2(num_shards)
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable CacheStats merged_stats_;  // scratch for stats()
+  /// Per-page tables (page -> slot in its shard or kNoSlot; page ->
+  /// pending future reuses), 8 B per page. Entries of one page are read
+  /// and written only under the lock of ShardFor(page).
+  std::vector<uint32_t> slot_;
+  std::vector<uint32_t> future_reuse_;
 };
 
 }  // namespace gids::storage

@@ -21,8 +21,8 @@ class SimpleHot : public storage::HotNodeBuffer {
 };
 
 TEST(WindowBufferTest, RegistersReuseCounters) {
-  storage::SoftwareCache cache(64 * 4096, 4096);
   graph::FeatureStore fs(1000, 1024);  // node == page
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
   WindowBuffer window(&cache, &fs);
   window.Register(BatchWithInputs({1, 2, 3}));
   EXPECT_EQ(cache.FutureReuseCount(fs.PagesFor(1).first), 1u);
@@ -32,8 +32,8 @@ TEST(WindowBufferTest, RegistersReuseCounters) {
 }
 
 TEST(WindowBufferTest, RepeatedNodesAccumulate) {
-  storage::SoftwareCache cache(64 * 4096, 4096);
   graph::FeatureStore fs(1000, 1024);
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
   WindowBuffer window(&cache, &fs);
   window.Register(BatchWithInputs({5}));
   window.Register(BatchWithInputs({5}));
@@ -42,8 +42,8 @@ TEST(WindowBufferTest, RepeatedNodesAccumulate) {
 }
 
 TEST(WindowBufferTest, SkipsHotBufferNodes) {
-  storage::SoftwareCache cache(64 * 4096, 4096);
   graph::FeatureStore fs(1000, 1024);
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
   SimpleHot hot;
   WindowBuffer window(&cache, &fs, &hot);
   window.Register(BatchWithInputs({1, 150}));
@@ -53,8 +53,8 @@ TEST(WindowBufferTest, SkipsHotBufferNodes) {
 }
 
 TEST(WindowBufferTest, PageSpanningNodesRegisterAllPages) {
-  storage::SoftwareCache cache(64 * 4096, 4096);
   graph::FeatureStore fs(1000, 768);  // 3 KiB features span pages
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
   WindowBuffer window(&cache, &fs);
   window.Register(BatchWithInputs({1}));  // node 1 spans pages 0 and 1
   auto range = fs.PagesFor(1);
@@ -66,9 +66,9 @@ TEST(WindowBufferTest, PageSpanningNodesRegisterAllPages) {
 TEST(WindowBufferTest, CountersDrainThroughGather) {
   // Register then consume exactly via cache touches: counters must net
   // to zero, so window buffering cannot permanently pin the cache.
-  storage::SoftwareCache cache(64 * 4096, 4096, /*seed=*/1,
-                               /*store_payloads=*/false);
   graph::FeatureStore fs(1000, 1024);
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages(), /*seed=*/1,
+                               /*store_payloads=*/false);
   WindowBuffer window(&cache, &fs);
   sampling::MiniBatch batch = BatchWithInputs({1, 2, 3, 4});
   window.Register(batch);
@@ -96,8 +96,8 @@ TEST(AutoWindowDepthTest, ClampedToBounds) {
 }
 
 TEST(WindowBufferTest, IdListBytes) {
-  storage::SoftwareCache cache(64 * 4096, 4096);
   graph::FeatureStore fs(1000, 1024);
+  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
   WindowBuffer window(&cache, &fs);
   sampling::MiniBatch batch = BatchWithInputs({1, 2, 3, 4});
   EXPECT_EQ(window.IdListBytes(batch), 4 * sizeof(graph::NodeId));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 namespace gids::graph {
@@ -79,12 +80,40 @@ TEST(FeatureStoreTest, FillFeatureMatchesExpectedElement) {
 
 // The central byte-fidelity property: regenerating storage pages and
 // reading features through them must agree with FillFeature exactly, for
-// every layout class the paper's datasets use.
-class PageConsistencyTest : public ::testing::TestWithParam<uint32_t> {};
+// every layout class the paper's datasets use, at the default 4 KiB page
+// and at page sizes that rows straddle differently (512 B, and 4100 B,
+// which is no power of two).
+struct PageLayout {
+  uint32_t dim;
+  uint32_t page_bytes;
+};
+
+// Default-page layouts print as the bare dim, the names they always had.
+void PrintTo(const PageLayout& l, std::ostream* os) {
+  *os << l.dim;
+  if (l.page_bytes != 4096) *os << "_page" << l.page_bytes;
+}
+
+std::vector<PageLayout> PaperLayouts() {
+  std::vector<PageLayout> out;
+  for (uint32_t page_bytes : {4096u, 512u, 4100u}) {
+    for (uint32_t dim : {128u,     // ogbn-papers100M
+                         768u,     // MAG240M
+                         1024u,    // IGB
+                         100u,     // not float-page aligned
+                         1500u,    // spans >1 page
+                         3u}) {    // tiny
+      out.push_back({dim, page_bytes});
+    }
+  }
+  return out;
+}
+
+class PageConsistencyTest : public ::testing::TestWithParam<PageLayout> {};
 
 TEST_P(PageConsistencyTest, PagesReconstructFeatures) {
-  const uint32_t dim = GetParam();
-  FeatureStore fs(64, dim);
+  const uint32_t dim = GetParam().dim;
+  FeatureStore fs(64, dim, GetParam().page_bytes);
   // Materialize the entire "file" from pages.
   std::vector<std::byte> file(fs.num_pages() * fs.page_bytes());
   std::vector<std::byte> page(fs.page_bytes());
@@ -103,15 +132,14 @@ TEST_P(PageConsistencyTest, PagesReconstructFeatures) {
       ASSERT_EQ(from_file[j], expected[j]) << "node " << v << " elem " << j;
     }
   }
+  // Past the last feature the file reads as zeros.
+  for (uint64_t b = fs.total_bytes(); b < file.size(); ++b) {
+    ASSERT_EQ(file[b], std::byte{0}) << "byte " << b;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperDims, PageConsistencyTest,
-                         ::testing::Values(128,    // ogbn-papers100M
-                                           768,    // MAG240M
-                                           1024,   // IGB
-                                           100,    // not float-page aligned
-                                           1500,   // spans >1 page
-                                           3));    // tiny
+                         ::testing::ValuesIn(PaperLayouts()));
 
 TEST(FeatureStoreTest, TailPageZeroFilled) {
   // 3 nodes x 512 B = 1536 B: one page, rest must be zero.

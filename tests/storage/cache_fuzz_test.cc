@@ -50,7 +50,7 @@ struct ReferenceModel {
 TEST(CacheFuzzTest, LongRandomOpSequenceStaysConsistent) {
   constexpr uint64_t kCapacity = 64;
   constexpr uint64_t kPageSpace = 256;
-  SoftwareCache cache(kCapacity * 512, 512, /*seed=*/77,
+  SoftwareCache cache(kCapacity * 512, 512, kPageSpace, /*seed=*/77,
                       /*store_payloads=*/false);
   ReferenceModel ref{kCapacity, {}, {}};
   Rng rng(99);
@@ -121,7 +121,8 @@ TEST(CacheFuzzTest, HeavyPinningNeverDeadlocksInserts) {
   // Even when most of the page space is registered for reuse, the cache
   // must keep serving (bypassing when all probes hit pinned lines) and
   // never exceed capacity or crash.
-  SoftwareCache cache(32 * 512, 512, /*seed=*/5, /*store_payloads=*/false);
+  SoftwareCache cache(32 * 512, 512, /*num_pages=*/64, /*seed=*/5,
+                      /*store_payloads=*/false);
   Rng rng(6);
   for (int op = 0; op < 20000; ++op) {
     uint64_t page = rng.UniformInt(64);

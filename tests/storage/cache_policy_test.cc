@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/gids_loader.h"
 #include "core/multi_gpu.h"
+#include "graph/feature_store.h"
 #include "storage/cache_policy.h"
 #include "storage/software_cache.h"
 #include "tests/test_util.h"
@@ -65,7 +67,8 @@ TEST(CachePolicyKindTest, NameParseRoundTrip) {
 CacheStats DriveStream(CachePolicy* policy, uint64_t seed,
                        uint32_t num_shards) {
   SoftwareCache cache(/*capacity_bytes=*/64 * 4096, /*line_bytes=*/4096,
-                      seed, /*store_payloads=*/false, num_shards, policy);
+                      /*num_pages=*/400, seed, /*store_payloads=*/false,
+                      num_shards, policy);
   Rng rng(77);
   for (int i = 0; i < 4000; ++i) {
     uint64_t page = rng.UniformInt(400);
@@ -120,8 +123,9 @@ TEST(CachePolicyContractTest, PinnedLinesSurviveEvictionPressure) {
   for (CachePolicyKind kind : kAllKinds) {
     auto policy = MakeCachePolicy(kind);
     SoftwareCache cache(/*capacity_bytes=*/8 * 4096, /*line_bytes=*/4096,
-                        /*seed=*/3, /*store_payloads=*/false,
-                        /*num_shards=*/1, policy.get());
+                        /*num_pages=*/140, /*seed=*/3,
+                        /*store_payloads=*/false, /*num_shards=*/1,
+                        policy.get());
     for (uint64_t p = 1; p <= 4; ++p) {
       cache.AddFutureReuse(p, 1);
       ASSERT_TRUE(cache.Insert(p)) << CachePolicyKindName(kind);
@@ -140,8 +144,9 @@ TEST(CachePolicyContractTest, QuarantineSurvivesPolicySwap) {
   for (CachePolicyKind kind : kAllKinds) {
     auto policy = MakeCachePolicy(kind);
     SoftwareCache cache(/*capacity_bytes=*/8 * 4096, /*line_bytes=*/4096,
-                        /*seed=*/3, /*store_payloads=*/false,
-                        /*num_shards=*/1, policy.get());
+                        /*num_pages=*/140, /*seed=*/3,
+                        /*store_payloads=*/false, /*num_shards=*/1,
+                        policy.get());
     cache.EnableIntegrity(/*checksummer=*/nullptr, /*verify_fill=*/false,
                           /*verify_hit=*/true);
     ASSERT_TRUE(cache.Insert(7, {}, std::nullopt, /*corrupt_hint=*/true));
@@ -149,6 +154,98 @@ TEST(CachePolicyContractTest, QuarantineSurvivesPolicySwap) {
     EXPECT_EQ(cache.stats().quarantines, 1u) << CachePolicyKindName(kind);
     ASSERT_TRUE(cache.Insert(7));
     EXPECT_TRUE(cache.Lookup(7)) << CachePolicyKindName(kind);
+  }
+}
+
+// The cache's books after one fixed op sequence over a four-shard cache
+// that evicts, pins, quarantines and invalidates. The expected values were
+// recorded with the hash-map page index and reuse counters, so they pin
+// every decision of the dense per-page tables that replaced them.
+struct CacheBooks {
+  CacheStats stats;
+  CachePolicyStats policy;
+  uint64_t resident = 0;
+  uint64_t pinned = 0;
+  uint64_t contains_hash = 0;  // FNV-1a of Contains() over all pages, per op
+};
+
+CacheBooks DriveBooksSequence(CachePolicyKind kind) {
+  constexpr uint64_t kPages = 256;
+  auto policy = MakeCachePolicy(kind);
+  // Node v occupies page v; counts give presample's admission priorities
+  // some zeros and some ties.
+  graph::FeatureStore layout(kPages, 1024);
+  std::vector<uint64_t> counts(kPages);
+  for (uint64_t v = 0; v < kPages; ++v) counts[v] = (v * 37) % 11;
+  policy->IngestNodeFrequencies(counts, layout);
+  SoftwareCache cache(/*capacity_bytes=*/64 * 4096, /*line_bytes=*/4096,
+                      kPages, /*seed=*/11, /*store_payloads=*/false,
+                      /*num_shards=*/4, policy.get());
+  cache.EnableIntegrity(/*checksummer=*/nullptr, /*verify_fill=*/false,
+                        /*verify_hit=*/true);
+  Rng rng(2024);
+  uint64_t hash = 14695981039346656037ull;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t page = rng.UniformInt(kPages);
+    const uint64_t op = rng.UniformInt(16);
+    if (op < 4) {
+      cache.AddFutureReuse(page, static_cast<uint32_t>(1 + rng.UniformInt(3)));
+    } else if (op == 4) {
+      cache.Invalidate(page);
+    } else {
+      const auto reuses = static_cast<uint32_t>(1 + rng.UniformInt(2));
+      if (!cache.Lookup(page, {}, reuses)) {
+        cache.Insert(page, {}, std::nullopt,
+                     /*corrupt_hint=*/rng.UniformInt(16) == 0);
+      }
+    }
+    for (uint64_t p = 0; p < kPages; ++p) {
+      hash = (hash ^ (cache.Contains(p) ? 1u : 0u)) * 1099511628211ull;
+    }
+  }
+  return CacheBooks{cache.stats(), policy->stats(), cache.resident_lines(),
+                    cache.pinned_lines(), hash};
+}
+
+TEST(CachePolicyContractTest, BooksMatchRecordedSequence) {
+  struct Expected {
+    CachePolicyKind kind;
+    CacheStats stats;
+    uint64_t victim_requests, victims, probe_skips, bypasses, admit_rejects;
+    uint64_t resident, pinned, contains_hash;
+  };
+  const Expected kExpected[] = {
+      {CachePolicyKind::kRandom,
+       CacheStats{.lookups = 2093, .hits = 534, .misses = 1559,
+                  .insertions = 1350, .evictions = 1223,
+                  .pinned_probe_skips = 11475, .bypasses = 209,
+                  .quarantines = 14},
+       /*victim_requests=*/1432, /*victims=*/1223, /*probe_skips=*/11475,
+       /*bypasses=*/209, /*admit_rejects=*/0, /*resident=*/64,
+       /*pinned=*/55, /*contains_hash=*/7088576415381879402ull},
+      {CachePolicyKind::kPresample,
+       CacheStats{.lookups = 2069, .hits = 496, .misses = 1573,
+                  .insertions = 303, .evictions = 187,
+                  .pinned_probe_skips = 21525, .bypasses = 1270,
+                  .quarantines = 13},
+       /*victim_requests=*/1457, /*victims=*/187, /*probe_skips=*/21525,
+       /*bypasses=*/0, /*admit_rejects=*/1270, /*resident=*/64,
+       /*pinned=*/38, /*contains_hash=*/16072718446450378977ull},
+  };
+  for (const Expected& want : kExpected) {
+    SCOPED_TRACE(CachePolicyKindName(want.kind));
+    const CacheBooks got = DriveBooksSequence(want.kind);
+    ExpectCacheStatsEqual(got.stats, want.stats, "books");
+    EXPECT_EQ(got.stats.quarantines, want.stats.quarantines);
+    EXPECT_TRUE(got.stats == want.stats);  // the fields above and the rest
+    EXPECT_EQ(got.policy.victim_requests, want.victim_requests);
+    EXPECT_EQ(got.policy.victims, want.victims);
+    EXPECT_EQ(got.policy.probe_skips, want.probe_skips);
+    EXPECT_EQ(got.policy.bypasses, want.bypasses);
+    EXPECT_EQ(got.policy.admit_rejects, want.admit_rejects);
+    EXPECT_EQ(got.resident, want.resident);
+    EXPECT_EQ(got.pinned, want.pinned);
+    EXPECT_EQ(got.contains_hash, want.contains_hash);
   }
 }
 

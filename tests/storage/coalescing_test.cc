@@ -39,10 +39,9 @@ struct CoalesceRig {
     if (faults != nullptr) {
       array->EnableFaultInjection(*faults, *retry);
     }
-    cache = std::make_unique<SoftwareCache>(cache_lines * fs.page_bytes(),
-                                            fs.page_bytes(), /*seed=*/0xcac4e,
-                                            /*store_payloads=*/true,
-                                            num_shards);
+    cache = std::make_unique<SoftwareCache>(
+        cache_lines * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
+        /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
                                                  /*hot_buffer=*/nullptr, pool,

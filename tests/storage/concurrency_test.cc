@@ -35,8 +35,8 @@ TEST(CacheConcurrencyTest, DisjointHammerExactTotals) {
   constexpr uint64_t kPagesPerThread = 256;
   constexpr uint32_t kLineBytes = 64;
   SoftwareCache cache(/*capacity_bytes=*/4096 * kLineBytes, kLineBytes,
-                      /*seed=*/1, /*store_payloads=*/false,
-                      /*num_shards=*/8);
+                      /*num_pages=*/kThreads * kPagesPerThread, /*seed=*/1,
+                      /*store_payloads=*/false, /*num_shards=*/8);
   ASSERT_EQ(cache.num_shards(), 8u);
 
   std::vector<std::thread> threads;
@@ -79,8 +79,8 @@ TEST(CacheConcurrencyTest, OverlappingHammerConservesCounts) {
   constexpr uint64_t kPages = 512;
   constexpr uint32_t kLineBytes = 64;
   SoftwareCache cache(/*capacity_bytes=*/1024 * kLineBytes, kLineBytes,
-                      /*seed=*/2, /*store_payloads=*/false,
-                      /*num_shards=*/4);
+                      /*num_pages=*/kThreads / 2 * kPages, /*seed=*/2,
+                      /*store_payloads=*/false, /*num_shards=*/4);
 
   std::vector<std::thread> threads;
   for (uint32_t t = 0; t < kThreads; ++t) {
@@ -119,8 +119,8 @@ TEST(CacheConcurrencyTest, LookupIntoNeverTears) {
   constexpr uint64_t kPages = 64;
   constexpr int kRounds = 200;
   SoftwareCache cache(/*capacity_bytes=*/128 * kLineBytes, kLineBytes,
-                      /*seed=*/3, /*store_payloads=*/true,
-                      /*num_shards=*/4);
+                      /*num_pages=*/kPages, /*seed=*/3,
+                      /*store_payloads=*/true, /*num_shards=*/4);
 
   std::atomic<bool> torn{false};
   std::vector<std::thread> threads;
@@ -150,6 +150,47 @@ TEST(CacheConcurrencyTest, LookupIntoNeverTears) {
   EXPECT_FALSE(torn.load());
 }
 
+// stats() merges the shards into a value it returns: two threads may read
+// it while a third drives lookups (a metric snapshot beside the loader's
+// traced prefetch thread), and each reader sees consistent totals that
+// only grow.
+TEST(CacheConcurrencyTest, ConcurrentStatsReadersWhileLookingUp) {
+  constexpr uint64_t kPages = 256;
+  constexpr int kRounds = 40;
+  SoftwareCache cache(/*capacity_bytes=*/64 * 64, /*line_bytes=*/64, kPages,
+                      /*seed=*/4, /*store_payloads=*/false,
+                      /*num_shards=*/4);
+  std::atomic<bool> done{false};
+  std::thread traffic([&cache, &done] {
+    for (int r = 0; r < kRounds; ++r) {
+      for (uint64_t p = 0; p < kPages; ++p) {
+        if (!cache.Lookup(p)) cache.Insert(p);
+      }
+    }
+    done.store(true);
+  });
+  auto reader = [&cache, &done](bool* consistent) {
+    uint64_t last = 0;
+    do {
+      const CacheStats s = cache.stats();
+      if (s.lookups < last || s.hits + s.misses != s.lookups) {
+        *consistent = false;
+      }
+      last = s.lookups;
+    } while (!done.load());
+  };
+  bool consistent_a = true;
+  bool consistent_b = true;
+  std::thread reader_a(reader, &consistent_a);
+  std::thread reader_b(reader, &consistent_b);
+  traffic.join();
+  reader_a.join();
+  reader_b.join();
+  EXPECT_TRUE(consistent_a);
+  EXPECT_TRUE(consistent_b);
+  EXPECT_EQ(cache.stats().lookups, kRounds * kPages);
+}
+
 // --- Parallel gather. --------------------------------------------------
 
 struct GatherRig {
@@ -163,10 +204,9 @@ struct GatherRig {
         });
     array = std::make_unique<StorageArray>(std::move(dev),
                                            sim::SsdSpec::IntelOptane(), 1);
-    cache = std::make_unique<SoftwareCache>(cache_lines * fs.page_bytes(),
-                                            fs.page_bytes(), /*seed=*/0xcac4e,
-                                            /*store_payloads=*/true,
-                                            num_shards);
+    cache = std::make_unique<SoftwareCache>(
+        cache_lines * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
+        /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer =
         std::make_unique<FeatureGatherer>(&fs, bam.get(), nullptr, pool);
@@ -299,8 +339,9 @@ std::vector<GatherReceipt> ReceiptSequence(const graph::FeatureStore& fs,
                                            StorageArray* array, int which) {
   ThreadPool pool(2);
   SoftwareCache cache(/*capacity_bytes=*/32 * fs.page_bytes(),
-                      fs.page_bytes(), /*seed=*/0xcac4e + which,
-                      /*store_payloads=*/true, /*num_shards=*/4);
+                      fs.page_bytes(), fs.num_pages(),
+                      /*seed=*/0xcac4e + which, /*store_payloads=*/true,
+                      /*num_shards=*/4);
   BamArray bam(array, &cache);
   FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr, &pool,
                            /*coalesce_pages=*/which == 1);

@@ -48,7 +48,7 @@ struct FlakyRig {
     array = std::make_unique<StorageArray>(
         std::make_unique<FlakyBlockDevice>(std::move(real), period),
         sim::SsdSpec::IntelOptane(), 1);
-    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096);
+    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, fs.num_pages());
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
   }

@@ -33,8 +33,9 @@ struct FaultRig {
     array = std::make_unique<StorageArray>(std::move(dev),
                                            sim::SsdSpec::IntelOptane(), n_ssd);
     array->EnableFaultInjection(faults, retry);
-    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, 0xcac4e,
-                                            /*store_payloads=*/true, shards);
+    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, fs.num_pages(),
+                                            0xcac4e, /*store_payloads=*/true,
+                                            shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
                                                  /*hot_buffer=*/nullptr, pool);

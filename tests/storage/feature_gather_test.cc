@@ -25,7 +25,8 @@ struct GatherRig {
         });
     array = std::make_unique<StorageArray>(std::move(dev),
                                            sim::SsdSpec::IntelOptane(), 1);
-    cache = std::make_unique<SoftwareCache>(cache_bytes, fs.page_bytes());
+    cache = std::make_unique<SoftwareCache>(cache_bytes, fs.page_bytes(),
+                                            fs.num_pages());
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(), hot);
   }

@@ -35,8 +35,8 @@ struct IntegrityRig {
                                            sim::SsdSpec::IntelOptane(), 1);
     if (faults.enabled()) array->EnableFaultInjection(faults, retry);
     array->EnableIntegrity(integrity);
-    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, 0xcac4e,
-                                            /*store_payloads=*/true);
+    cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, fs.num_pages(),
+                                            0xcac4e, /*store_payloads=*/true);
     if (integrity.verify_cache_fill || integrity.verify_cache_hit) {
       cache->EnableIntegrity(&array->checksummer(),
                              integrity.verify_cache_fill,
@@ -243,7 +243,8 @@ TEST(IntegrityTest, CountingModeMatchesFunctionalCounters) {
 
 TEST(CacheIntegrityTest, FillVerificationRejectsCorruptPayloads) {
   PageChecksummer cs(0xc3c32c);
-  SoftwareCache cache(16 * 64, 64, 0xcac4e, /*store_payloads=*/true, 1);
+  SoftwareCache cache(16 * 64, 64, /*num_pages=*/16, 0xcac4e,
+                      /*store_payloads=*/true, 1);
   cache.EnableIntegrity(&cs, /*verify_fill=*/true, /*verify_hit=*/false);
   std::vector<std::byte> payload(64, std::byte{0x7});
   EXPECT_TRUE(cache.Insert(5, payload, cs.Checksum(5, payload)));
@@ -261,7 +262,8 @@ TEST(CacheIntegrityTest, FillVerificationRejectsCorruptPayloads) {
 
 TEST(CacheIntegrityTest, HitVerificationQuarantinesMismatchedLines) {
   PageChecksummer cs(0xc3c32c);
-  SoftwareCache cache(16 * 64, 64, 0xcac4e, /*store_payloads=*/true, 1);
+  SoftwareCache cache(16 * 64, 64, /*num_pages=*/16, 0xcac4e,
+                      /*store_payloads=*/true, 1);
   cache.EnableIntegrity(&cs, /*verify_fill=*/false, /*verify_hit=*/true);
   std::vector<std::byte> payload(64, std::byte{0x7});
   // Fill verification is off, so a line whose payload does not match its
@@ -284,7 +286,8 @@ TEST(CacheIntegrityTest, HitVerificationQuarantinesMismatchedLines) {
 
 TEST(CacheIntegrityTest, ScrubFindsAndQuarantinesRottenLines) {
   PageChecksummer cs(0xc3c32c);
-  SoftwareCache cache(16 * 64, 64, 0xcac4e, /*store_payloads=*/true, 1);
+  SoftwareCache cache(16 * 64, 64, /*num_pages=*/16, 0xcac4e,
+                      /*store_payloads=*/true, 1);
   cache.EnableIntegrity(&cs, /*verify_fill=*/false, /*verify_hit=*/false);
   std::vector<std::byte> payload(64, std::byte{0x7});
   for (uint64_t p = 0; p < 8; ++p) {

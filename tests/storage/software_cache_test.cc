@@ -8,12 +8,15 @@
 namespace gids::storage {
 namespace {
 
+// Page-id space of every cache below; the tests touch pages < 1000.
+constexpr uint64_t kNumPages = 1000;
+
 std::vector<std::byte> Payload(uint32_t line_bytes, uint8_t fill) {
   return std::vector<std::byte>(line_bytes, std::byte{fill});
 }
 
 TEST(SoftwareCacheTest, MissThenHit) {
-  SoftwareCache cache(4 * 64, 64);
+  SoftwareCache cache(4 * 64, 64, kNumPages);
   std::vector<std::byte> line(64);
   EXPECT_FALSE(cache.Lookup(7, line));
   auto p = Payload(64, 0xab);
@@ -25,12 +28,12 @@ TEST(SoftwareCacheTest, MissThenHit) {
 }
 
 TEST(SoftwareCacheTest, CapacityLines) {
-  SoftwareCache cache(10 * 128 + 100, 128);
+  SoftwareCache cache(10 * 128 + 100, 128, kNumPages);
   EXPECT_EQ(cache.capacity_lines(), 10u);
 }
 
 TEST(SoftwareCacheTest, EvictsWhenFull) {
-  SoftwareCache cache(4 * 64, 64, /*seed=*/1);
+  SoftwareCache cache(4 * 64, 64, kNumPages, /*seed=*/1);
   for (uint64_t p = 0; p < 8; ++p) {
     EXPECT_TRUE(cache.Insert(p, Payload(64, static_cast<uint8_t>(p))));
   }
@@ -39,7 +42,7 @@ TEST(SoftwareCacheTest, EvictsWhenFull) {
 }
 
 TEST(SoftwareCacheTest, ReinsertRefreshesPayload) {
-  SoftwareCache cache(4 * 64, 64);
+  SoftwareCache cache(4 * 64, 64, kNumPages);
   ASSERT_TRUE(cache.Insert(1, Payload(64, 0x01)));
   ASSERT_TRUE(cache.Insert(1, Payload(64, 0x02)));
   EXPECT_EQ(cache.resident_lines(), 1u);
@@ -51,7 +54,7 @@ TEST(SoftwareCacheTest, ReinsertRefreshesPayload) {
 TEST(SoftwareCacheTest, PinnedLinesAreNeverEvicted) {
   // The window-buffering invariant (§3.4): lines in the USE state survive
   // arbitrary insertion pressure.
-  SoftwareCache cache(8 * 64, 64, /*seed=*/2);
+  SoftwareCache cache(8 * 64, 64, kNumPages, /*seed=*/2);
   for (uint64_t p = 0; p < 4; ++p) {
     cache.AddFutureReuse(p, 1);
     ASSERT_TRUE(cache.Insert(p, Payload(64, 0xaa)));
@@ -67,7 +70,7 @@ TEST(SoftwareCacheTest, PinnedLinesAreNeverEvicted) {
 }
 
 TEST(SoftwareCacheTest, ReuseCounterDrainsOnLookup) {
-  SoftwareCache cache(8 * 64, 64);
+  SoftwareCache cache(8 * 64, 64, kNumPages);
   cache.AddFutureReuse(5, 2);
   ASSERT_TRUE(cache.Insert(5, Payload(64, 0x1)));
   EXPECT_EQ(cache.FutureReuseCount(5), 2u);
@@ -83,14 +86,14 @@ TEST(SoftwareCacheTest, ReuseCounterDrainsOnLookup) {
 TEST(SoftwareCacheTest, ReuseRegisteredBeforeInsertionPins) {
   // Fig. 6 ordering: the window registers node IDs before their features
   // are fetched; insertion must pick up the pending counter.
-  SoftwareCache cache(8 * 64, 64);
+  SoftwareCache cache(8 * 64, 64, kNumPages);
   cache.AddFutureReuse(9, 3);
   ASSERT_TRUE(cache.Insert(9, Payload(64, 0x9)));
   EXPECT_EQ(cache.pinned_lines(), 1u);
 }
 
 TEST(SoftwareCacheTest, FullyPinnedCacheBypassesInsertions) {
-  SoftwareCache cache(2 * 64, 64, /*seed=*/3);
+  SoftwareCache cache(2 * 64, 64, kNumPages, /*seed=*/3);
   cache.AddFutureReuse(0, 1);
   cache.AddFutureReuse(1, 1);
   ASSERT_TRUE(cache.Insert(0, Payload(64, 0)));
@@ -103,7 +106,7 @@ TEST(SoftwareCacheTest, FullyPinnedCacheBypassesInsertions) {
 }
 
 TEST(SoftwareCacheTest, ClearFutureReuseUnpinsEverything) {
-  SoftwareCache cache(4 * 64, 64);
+  SoftwareCache cache(4 * 64, 64, kNumPages);
   cache.AddFutureReuse(0, 5);
   ASSERT_TRUE(cache.Insert(0, Payload(64, 0)));
   EXPECT_EQ(cache.pinned_lines(), 1u);
@@ -127,9 +130,9 @@ TEST(SoftwareCacheTest, MetadataModeMatchesPayloadModeDecisions) {
     SCOPED_TRACE(::testing::Message() << "verify_fill=" << verify.fill
                                       << " verify_hit=" << verify.hit);
     PageChecksummer cs(0xc3c32c);
-    SoftwareCache with_data(16 * 64, 64, /*seed=*/42,
+    SoftwareCache with_data(16 * 64, 64, kNumPages, /*seed=*/42,
                             /*store_payloads=*/true);
-    SoftwareCache meta_only(16 * 64, 64, /*seed=*/42,
+    SoftwareCache meta_only(16 * 64, 64, kNumPages, /*seed=*/42,
                             /*store_payloads=*/false);
     with_data.EnableIntegrity(&cs, verify.fill, verify.hit);
     meta_only.EnableIntegrity(&cs, verify.fill, verify.hit);
@@ -180,7 +183,7 @@ TEST(SoftwareCacheTest, MetadataModeMatchesPayloadModeDecisions) {
 }
 
 TEST(SoftwareCacheTest, HitRatioStat) {
-  SoftwareCache cache(8 * 64, 64);
+  SoftwareCache cache(8 * 64, 64, kNumPages);
   cache.Insert(1, Payload(64, 1));
   cache.Lookup(1);  // hit
   cache.Lookup(2);  // miss
@@ -189,7 +192,7 @@ TEST(SoftwareCacheTest, HitRatioStat) {
 }
 
 TEST(SoftwareCacheTest, ResetStats) {
-  SoftwareCache cache(8 * 64, 64);
+  SoftwareCache cache(8 * 64, 64, kNumPages);
   cache.Lookup(1);
   cache.ResetStats();
   EXPECT_EQ(cache.stats().lookups, 0u);
@@ -197,7 +200,8 @@ TEST(SoftwareCacheTest, ResetStats) {
 }
 
 TEST(SoftwareCacheTest, StressResidencyNeverExceedsCapacity) {
-  SoftwareCache cache(32 * 64, 64, /*seed=*/5, /*store_payloads=*/false);
+  SoftwareCache cache(32 * 64, 64, kNumPages, /*seed=*/5,
+                      /*store_payloads=*/false);
   Rng rng(6);
   for (int i = 0; i < 20000; ++i) {
     uint64_t page = rng.UniformInt(1000);
@@ -206,13 +210,29 @@ TEST(SoftwareCacheTest, StressResidencyNeverExceedsCapacity) {
   }
 }
 
+// Per-page state lives in tables sized by num_pages, and pages come from
+// FeatureStore::PagesFor, so a page past the end is a broken invariant:
+// every entry point aborts on it instead of reading outside the tables.
+TEST(SoftwareCacheDeathTest, PageOutsideTheTablesAborts) {
+  SoftwareCache cache(4 * 64, 64, /*num_pages=*/16);
+  EXPECT_DEATH(cache.Lookup(16), "CHECK failed");
+  EXPECT_DEATH(cache.Insert(16), "CHECK failed");
+  EXPECT_DEATH(cache.AddFutureReuse(16, 1), "CHECK failed");
+  EXPECT_DEATH(cache.Invalidate(17), "CHECK failed");
+  EXPECT_DEATH(cache.Contains(UINT64_MAX), "CHECK failed");
+  EXPECT_DEATH(cache.FutureReuseCount(16), "CHECK failed");
+  EXPECT_TRUE(cache.Insert(15));
+  EXPECT_TRUE(cache.Contains(15));
+}
+
 class WindowPinStressTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WindowPinStressTest, CounterConservation) {
   // Register K future uses, then access exactly K times: the counter must
   // be exactly zero afterwards (no leaks, no over-consumption).
   const int k = GetParam();
-  SoftwareCache cache(64 * 64, 64, /*seed=*/7, /*store_payloads=*/false);
+  SoftwareCache cache(64 * 64, 64, kNumPages, /*seed=*/7,
+                      /*store_payloads=*/false);
   cache.AddFutureReuse(3, k);
   cache.Insert(3);
   for (int i = 0; i < k; ++i) {

@@ -10,7 +10,10 @@
 # tools/bench_compare.py. Virtual-time values are deterministic, so it
 # fails on >10% drift, a schema violation or a lost row; HOSTPAR rows
 # must also report steady_state_allocs == 0 (DESIGN.md §11), and the
-# baseline's `directions` map gates some rows one-sided.
+# baseline's `directions` map gates some rows one-sided. Last, it runs the
+# perfbench self-test (perfbench/README.md), so a broken determinism
+# fingerprint, host_threads identity or crash-replay identity fails the
+# check; perfbench builds into .bench_build/perfbench.
 #
 #   tools/check.sh            # docs lint + all presets
 #   tools/check.sh default    # docs lint + one preset
@@ -48,6 +51,8 @@ for preset in "${presets[@]}"; do
       "$benchlog/cachepolicy.log" "$benchlog/replication.log" \
       "$benchlog/serving.log" "$benchlog/coalescing.log"
     rm -rf "$benchlog"
+    echo "=== [$preset] perfbench self-test"
+    python3 perfbench/run.py --self-test
   fi
 done
 
