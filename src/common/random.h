@@ -1,6 +1,7 @@
 #ifndef GIDS_COMMON_RANDOM_H_
 #define GIDS_COMMON_RANDOM_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,9 @@ class Rng {
     SplitMix64 sm(seed);
     for (auto& s : state_) s = sm.Next();
   }
+
+  /// Equal generators produce equal sequences.
+  friend bool operator==(const Rng&, const Rng&) = default;
 
   uint64_t Next() {
     const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
@@ -107,11 +111,36 @@ class Rng {
   }
 
  private:
+  friend class RngJump;
+
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
   uint64_t state_[4];
+};
+
+/// Skips an Rng ahead by a fixed number of steps. xoshiro256**'s state
+/// update is linear over GF(2), so `n` calls to Next() are one 256x256 bit
+/// matrix, built by repeated squaring of the one-step matrix (O(log n)
+/// matrix products, 8 KiB). Apply() is one matrix-vector product, so
+/// generators spaced `n` draws apart, one per parallel work block, each
+/// start in about a microsecond.
+class RngJump {
+ public:
+  explicit RngJump(uint64_t n);
+
+  /// Leaves `rng` where `n` calls to rng.Next() would.
+  void Apply(Rng& rng) const;
+
+ private:
+  using State = std::array<uint64_t, 4>;
+
+  // The product of the matrix `m` (columns: images of the state bits) and
+  // the state `v`.
+  static State Transform(const std::vector<State>& m, const uint64_t* v);
+
+  std::vector<State> cols_;  // cols_[i]: the jumped image of state bit i
 };
 
 /// The RNG for iteration `iteration` of a deterministic stream rooted at
@@ -135,10 +164,10 @@ void Shuffle(std::vector<T>& items, Rng& rng) {
 /// Samples `k` distinct values uniformly from [0, n) without replacement
 /// into `out` (cleared first). If k >= n, emits all of [0, n) in order.
 /// Floyd's algorithm; the duplicate check is a linear scan over the <= k
-/// values emitted so far, which beats a hash set for the fanout-sized k
-/// (~10) the samplers use and allocates nothing when `out` has capacity.
-/// Draws exactly the same UniformInt sequence — and emits exactly the same
-/// values — as the std::vector overload below.
+/// values emitted so far, O(k^2) in all, which beats a hash set for the
+/// fanout-sized k (~10) the samplers use and allocates nothing when `out`
+/// has capacity. Draws exactly the same UniformInt sequence — and emits
+/// exactly the same values — as the std::vector overload below.
 template <typename OutVec>
 void SampleWithoutReplacementInto(uint64_t n, uint64_t k, Rng& rng,
                                   OutVec& out) {
@@ -163,8 +192,9 @@ void SampleWithoutReplacementInto(uint64_t n, uint64_t k, Rng& rng,
 }
 
 /// Samples `k` distinct values uniformly from [0, n) without replacement.
-/// If k >= n, returns all of [0, n) in order. Uses Floyd's algorithm for
-/// small k relative to n, reservoir-free and O(k) expected.
+/// If k >= n, returns all of [0, n) in order. Floyd's algorithm with a hash
+/// set for the duplicate check: O(k) expected, for k in the thousands (a
+/// dataset's train ids).
 std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k,
                                                Rng& rng);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace gids {
@@ -106,6 +107,30 @@ TEST(RngTest, ForkedStreamsAreDecorrelated) {
   EXPECT_LT(same, 2);
 }
 
+TEST(RngJumpTest, MatchesRepeatedNext) {
+  for (uint64_t n : {0ull, 1ull, 63ull, 64ull, 255ull, 256ull, 1000003ull}) {
+    Rng stepped(51);
+    for (uint64_t i = 0; i < n; ++i) stepped.Next();
+    Rng jumped(51);
+    RngJump(n).Apply(jumped);
+    EXPECT_TRUE(jumped == stepped) << n;
+    EXPECT_EQ(jumped.Next(), stepped.Next()) << n;
+  }
+}
+
+TEST(RngJumpTest, JumpsCompose) {
+  const std::pair<uint64_t, uint64_t> cases[] = {
+      {0, 7}, {1, 1}, {100, 28}, {4096, 368640}, {1ull << 40, 12345}};
+  for (auto [a, b] : cases) {
+    Rng twice(52);
+    RngJump(a).Apply(twice);
+    RngJump(b).Apply(twice);
+    Rng once(52);
+    RngJump(a + b).Apply(once);
+    EXPECT_TRUE(twice == once) << a << "+" << b;
+  }
+}
+
 TEST(ShuffleTest, IsPermutation) {
   Rng rng(3);
   std::vector<int> v(100);
@@ -144,6 +169,21 @@ TEST(SampleWithoutReplacementTest, MarginalsAreUniform) {
   }
   for (int c : counts) {
     EXPECT_NEAR(c / static_cast<double>(kTrials), 0.25, 0.02);
+  }
+}
+
+TEST(SampleWithoutReplacementTest, OverloadsDrawAndPickAlike) {
+  // The vector overload's hash-set duplicate check and the Into overload's
+  // linear scan must pick the same values from the same draws.
+  const std::pair<uint64_t, uint64_t> cases[] = {
+      {10, 0}, {10, 3}, {10, 10}, {1000, 999}, {263051, 26305}};
+  for (auto [n, k] : cases) {
+    Rng a(24 + n + k);
+    Rng b(24 + n + k);
+    std::vector<uint64_t> into;
+    SampleWithoutReplacementInto(n, k, a, into);
+    EXPECT_EQ(SampleWithoutReplacement(n, k, b), into) << n << "/" << k;
+    EXPECT_TRUE(a == b) << n << "/" << k;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace gids::graph {
@@ -31,6 +32,34 @@ TEST(RmatTest, RejectsBadProbabilities) {
   p.a = 0.9;  // sums to 1.33
   EXPECT_FALSE(GenerateRmat(100, 100, p, rng).ok());
   EXPECT_FALSE(GenerateRmat(0, 100, RmatParams{}, rng).ok());
+  // Each probability must lie in [0, 1], even when the four sum to 1.
+  const RmatParams out_of_range[] = {
+      {.a = -0.1, .b = 0.5, .c = 0.5, .d = 0.1},
+      {.a = 0.5, .b = -0.2, .c = 0.5, .d = 0.2},
+      {.a = 0.5, .b = 0.2, .c = -0.5, .d = 0.8},
+      {.a = 0.3, .b = 0.3, .c = 0.5, .d = -0.1},
+      {.a = 1.2, .b = -0.1, .c = -0.1, .d = 0.0},
+      {.a = std::nan(""), .b = 0.19, .c = 0.19, .d = 0.05},
+  };
+  for (const RmatParams& bad : out_of_range) {
+    auto g = GenerateRmat(100, 100, bad, rng);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Noise must lie in [0, 1): at 1 every perturbed weight may reach 0.
+  for (double noise : {-0.01, 1.0, 1.5, std::nan("")}) {
+    RmatParams bad;
+    bad.noise = noise;
+    auto g = GenerateRmat(100, 100, bad, rng);
+    ASSERT_FALSE(g.ok()) << noise;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The edges of the ranges are valid.
+  EXPECT_TRUE(GenerateRmat(100, 100, {.a = 1.0, .b = 0.0, .c = 0.0, .d = 0.0},
+                           rng)
+                  .ok());
+  EXPECT_TRUE(GenerateRmat(100, 100, {.noise = 0.0}, rng).ok());
+  EXPECT_TRUE(GenerateRmat(100, 100, {.noise = 0.99}, rng).ok());
 }
 
 TEST(RmatTest, DeterministicInSeed) {
