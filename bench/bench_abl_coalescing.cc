@@ -10,9 +10,10 @@
 // fold fraction: duplicates and page-mates collapse into one SSD read,
 // the paper's §2 premise for GPU-side access coalescing.
 //
-// A determinism gate re-runs the coalescing sweep at host_threads
-// {1, 4, 8} and checks the traffic counts are bit-identical before any
-// row is reported.
+// A determinism gate re-runs the coalescing sweep and checks the traffic
+// counts are bit-identical before any row is reported. The gather is one
+// serial pass with no thread pool; the loader-level host_threads sweep is
+// CoalescingDeterminismTest.ThreadAndShardSweepsBitIdentical.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -23,7 +24,6 @@
 #include "bench/common.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "graph/feature_store.h"
 #include "storage/bam_array.h"
 #include "storage/feature_gather.h"
@@ -58,8 +58,7 @@ struct SweepResult {
   uint64_t storage_array_reads = 0;
 };
 
-SweepResult RunSweep(uint32_t dim, double skew, bool coalesce,
-                     ThreadPool* pool) {
+SweepResult RunSweep(uint32_t dim, double skew, bool coalesce) {
   graph::FeatureStore fs(kNodes, dim);
   auto dev = std::make_unique<storage::FunctionBlockDevice>(
       fs.num_pages(), fs.page_bytes(),
@@ -70,9 +69,9 @@ SweepResult RunSweep(uint32_t dim, double skew, bool coalesce,
                                /*store_payloads=*/false,
                                /*num_shards=*/4);
   storage::BamArray bam(&array, &cache);
-  storage::FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr, pool,
+  storage::FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr,
                                     coalesce);
-  // Same seed per configuration: both modes and every thread count replay
+  // Same seed per configuration: both modes and every re-run replay
   // identical batches.
   Rng rng(static_cast<uint64_t>(dim) * 1000 +
           static_cast<uint64_t>(skew * 100));
@@ -102,17 +101,14 @@ void BM_Coalescing(benchmark::State& state) {
   for (auto _ : state) {
     for (double skew : skews) {
       for (uint32_t dim : dims) {
-        SweepResult off = RunSweep(dim, skew, /*coalesce=*/false, nullptr);
-        SweepResult on = RunSweep(dim, skew, /*coalesce=*/true, nullptr);
+        SweepResult off = RunSweep(dim, skew, /*coalesce=*/false);
+        SweepResult on = RunSweep(dim, skew, /*coalesce=*/true);
 
-        // Determinism gate: the coalescing sweep's traffic counts must be
-        // bit-identical at every host thread count.
-        for (uint32_t threads : {1u, 4u, 8u}) {
-          ThreadPool pool(threads);
-          SweepResult par = RunSweep(dim, skew, /*coalesce=*/true, &pool);
-          GIDS_CHECK(CountsEqual(par.counts, on.counts));
-          GIDS_CHECK(par.storage_array_reads == on.storage_array_reads);
-        }
+        // Determinism gate: a re-run of the coalescing sweep reproduces its
+        // traffic counts bit for bit.
+        SweepResult again = RunSweep(dim, skew, /*coalesce=*/true);
+        GIDS_CHECK(CountsEqual(again.counts, on.counts));
+        GIDS_CHECK(again.storage_array_reads == on.storage_array_reads);
 
         // Both modes saw the same page-granular demand; coalescing only
         // reduces the serviced traffic.
@@ -142,9 +138,8 @@ void BM_Coalescing(benchmark::State& state) {
         state.counters[cfg + " dedup"] = dedup;
       }
     }
-    ReportRow("ABL-COALESCE",
-              "coalesced counts bit-identical across host_threads {1,4,8}", 1,
-              0, "bool");
+    ReportRow("ABL-COALESCE", "coalesced counts bit-identical across re-runs",
+              1, 0, "bool");
   }
 }
 

@@ -5,12 +5,14 @@
 //
 // This is a *host* benchmark, not a paper figure: the paper's pipeline is
 // GPU-initiated, but this repo's functional proxy prepares every
-// iteration on the CPU, and the sharded cache + chunked gather +
-// per-iteration RNG streams are designed so the prepared batches are
-// bit-identical at every thread count. The bench asserts that invariant
-// (a fingerprint over every mini-batch and its stats must match the
-// serial run) before reporting any timing, so a speedup can never come
-// from doing different work.
+// iteration on the CPU. With more than one thread the pool samples the
+// look-ahead in batches of host_threads iterations while the calling
+// thread runs the one-pass gather (DESIGN.md §7); per-iteration RNG
+// streams and in-order seeds keep the prepared batches bit-identical at
+// every thread count. The bench asserts that invariant (a fingerprint
+// over every mini-batch and its stats must match the serial run) before
+// reporting any timing, so a speedup can never come from doing different
+// work.
 //
 // Speedups scale with the cores actually available; on a single-core
 // machine the sweep degenerates to ~1x, which is reported honestly.

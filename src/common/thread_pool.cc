@@ -44,66 +44,106 @@ void ThreadPool::Wait() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForChunked(n, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
+ThreadPool::Batch ThreadPool::Launch(size_t n,
+                                     std::shared_ptr<ForState> state,
+                                     size_t joiner_chunks) {
+  if (n == 0) return Batch();
+  const size_t target_chunks =
+      std::min(n, std::max<size_t>(1, workers_.size() * kChunksPerWorker));
+  state->pool = this;
+  state->chunk_size = (n + target_chunks - 1) / target_chunks;
+  state->num_chunks = (n + state->chunk_size - 1) / state->chunk_size;
+  state->n = n;
+  // Helpers hold a shared_ptr, so one that wakes after the join still
+  // finds valid (if exhausted) state; it never calls the body once every
+  // chunk is claimed.
+  const size_t helpers =
+      std::min(workers_.size(), state->num_chunks - joiner_chunks);
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([state] { RunChunks(*state); });
+  }
+  return Batch(std::move(state));
+}
+
+ThreadPool::Batch ThreadPool::Start(size_t n,
+                                    std::function<void(size_t)> fn) {
+  auto state = std::make_shared<ForState>();
+  state->each = std::move(fn);
+  return Launch(n, std::move(state), /*joiner_chunks=*/0);
+}
+
+void ThreadPool::ParallelFor(size_t n, std::function<void(size_t)> fn) {
+  auto state = std::make_shared<ForState>();
+  state->each = std::move(fn);
+  Launch(n, std::move(state), /*joiner_chunks=*/1).Join();
 }
 
 void ThreadPool::ParallelForChunked(
-    size_t n, const std::function<void(size_t begin, size_t end)>& fn) {
-  if (n == 0) return;
+    size_t n, std::function<void(size_t begin, size_t end)> fn) {
   auto state = std::make_shared<ForState>();
-  size_t target_chunks =
-      std::max<size_t>(1, workers_.size() * kChunksPerWorker);
-  state->chunk_size =
-      (n + std::min(n, target_chunks) - 1) / std::min(n, target_chunks);
-  state->num_chunks = (n + state->chunk_size - 1) / state->chunk_size;
-  state->n = n;
-  state->fn = &fn;
+  state->range = std::move(fn);
+  Launch(n, std::move(state), /*joiner_chunks=*/1).Join();
+}
 
-  // Helpers hold a shared_ptr so a straggler that wakes up after the
-  // caller has returned still finds valid (if exhausted) state. They never
-  // touch `fn` once every chunk is claimed, so the reference stays safe.
-  size_t helpers = std::min(workers_.size(), state->num_chunks - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([this, state] { RunChunks(state); });
+void ThreadPool::RunChunks(ForState& state) {
+  for (;;) {
+    size_t c = state.next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= state.num_chunks) return;
+    size_t begin = c * state.chunk_size;
+    size_t end = std::min(state.n, begin + state.chunk_size);
+    try {
+      if (state.range) {
+        state.range(begin, end);
+      } else {
+        for (size_t i = begin; i < end; ++i) state.each(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(state.mu);
+      if (state.error == nullptr) state.error = std::current_exception();
+    }
+    state.pool->chunks_executed_.fetch_add(1, std::memory_order_relaxed);
+    if (state.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        state.num_chunks) {
+      std::lock_guard<std::mutex> lock(state.mu);
+      state.done_cv.notify_all();
+    }
   }
-  RunChunks(state);
+}
 
+void ThreadPool::Batch::Join() {
+  if (state_ == nullptr) return;
+  std::shared_ptr<ForState> state = std::move(state_);
+  RunChunks(*state);
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] {
     return state->chunks_done.load(std::memory_order_acquire) >=
            state->num_chunks;
   });
   if (state->error != nullptr) {
-    std::exception_ptr error = state->error;
-    state->error = nullptr;
+    std::exception_ptr error = std::move(state->error);
     lock.unlock();
     std::rethrow_exception(error);
   }
 }
 
-void ThreadPool::RunChunks(const std::shared_ptr<ForState>& state) {
-  for (;;) {
-    size_t c = state->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= state->num_chunks) return;
-    size_t begin = c * state->chunk_size;
-    size_t end = std::min(state->n, begin + state->chunk_size);
-    try {
-      (*state->fn)(begin, end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (state->error == nullptr) state->error = std::current_exception();
-    }
-    chunks_executed_.fetch_add(1, std::memory_order_relaxed);
-    if (state->chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        state->num_chunks) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->done_cv.notify_all();
-    }
+void ThreadPool::Batch::JoinOrDie() noexcept {
+  try {
+    Join();
+  } catch (...) {
+    GIDS_CHECK_MSG(false, "ThreadPool::Batch dropped without Join() held an "
+                          "exception");
   }
 }
+
+ThreadPool::Batch& ThreadPool::Batch::operator=(Batch&& other) noexcept {
+  if (this != &other) {
+    JoinOrDie();
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+ThreadPool::Batch::~Batch() { JoinOrDie(); }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {

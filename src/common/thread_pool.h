@@ -11,28 +11,33 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace gids {
 
 /// Fixed-size worker pool used by the CPU-side data-preparation pipeline
-/// (parallel sampling of accumulator groups, the sharded feature gather,
-/// and the GIDS loader's iteration prefetch).
+/// (the GIDS loader's asynchronous sample batches and iteration prefetch,
+/// the scrubber's per-shard sweep, serving's per-batch sampling, and the
+/// parallel R-MAT generator).
 ///
 /// Concurrency contract:
 ///  - Submit/Wait: fire-and-forget tasks. The first exception thrown by a
 ///    submitted task is captured and rethrown from the next Wait() call
 ///    (the remaining tasks still run; the worker survives).
-///  - ParallelFor/ParallelForChunked: the *calling* thread participates in
-///    chunk execution, so nesting a ParallelFor inside a task running on
-///    this very pool cannot deadlock (the prefetch task preparing a group
-///    runs the group's parallel sample/gather on the same pool). The first
-///    exception thrown by the body is rethrown from the call itself, after
-///    every chunk has finished.
+///  - Start/Join: Start() splits [0, n) into chunks, submits helper tasks
+///    and returns a Batch at once; the helpers claim chunks from a shared
+///    cursor. Batch::Join() runs every chunk nobody has claimed yet on the
+///    joining thread, waits for the claimed ones, and rethrows the first
+///    exception the body threw. Because the joiner helps, joining inside a
+///    task that runs on this very pool cannot deadlock, even when that task
+///    occupies the pool's only worker (the loader's prefetch task joins its
+///    own sample batches).
+///  - ParallelFor/ParallelForChunked: start and join at once, with one
+///    helper fewer than Start() (the caller claims a chunk right away).
 ///  - Dynamic chunking: ranges are split into more chunks than workers
-///    (kChunksPerWorker per thread) and claimed from a shared cursor, so a
-///    skewed chunk (e.g. a gather chunk full of page-spanning nodes) does
-///    not straggle the whole batch.
+///    (kChunksPerWorker per thread), so a skewed chunk does not straggle
+///    the whole batch.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -50,15 +55,22 @@ class ThreadPool {
   /// exception captured from a submitted task since the previous Wait().
   void Wait();
 
+  class Batch;
+
+  /// Starts fn(i) for i in [0, n) over dynamically claimed chunks and
+  /// returns without waiting; the batch owns `fn`. Join the returned
+  /// handle before anything `fn` writes is read.
+  Batch Start(size_t n, std::function<void(size_t)> fn);
+
   /// Runs fn(i) for i in [0, n) across the pool (caller included) and
   /// waits for completion. Rethrows the first exception thrown by fn.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  void ParallelFor(size_t n, std::function<void(size_t)> fn);
 
-  /// Splits [0, n) into dynamically claimed contiguous chunks and runs
-  /// fn(begin, end) for each; waits for completion. Rethrows the first
-  /// exception thrown by fn.
+  /// Runs fn(begin, end) over dynamically claimed chunks of [0, n) (caller
+  /// included) and waits for completion. Rethrows the first exception
+  /// thrown by fn.
   void ParallelForChunked(
-      size_t n, const std::function<void(size_t begin, size_t end)>& fn);
+      size_t n, std::function<void(size_t begin, size_t end)> fn);
 
   // --- Introspection (lock-free; feed the obs gauges, see
   // obs::BindThreadPoolMetrics).
@@ -75,8 +87,8 @@ class ThreadPool {
   uint64_t tasks_executed() const {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
-  /// Total chunks executed on behalf of ParallelFor/ParallelForChunked
-  /// (caller-run chunks included).
+  /// Total chunks executed on behalf of started batches (joiner-run
+  /// chunks included).
   uint64_t chunks_executed() const {
     return chunks_executed_.load(std::memory_order_relaxed);
   }
@@ -86,19 +98,28 @@ class ThreadPool {
 
  private:
   struct ForState {
+    ThreadPool* pool = nullptr;
+    // Exactly one body is set: per index, or per chunk.
+    std::function<void(size_t)> each;
+    std::function<void(size_t, size_t)> range;
     std::atomic<size_t> next_chunk{0};
     std::atomic<size_t> chunks_done{0};
     size_t num_chunks = 0;
     size_t chunk_size = 0;
     size_t n = 0;
-    const std::function<void(size_t, size_t)>* fn = nullptr;
     std::mutex mu;
     std::condition_variable done_cv;
     std::exception_ptr error;  // first body exception; guarded by mu
   };
 
   void WorkerLoop();
-  void RunChunks(const std::shared_ptr<ForState>& state);
+  /// Chunks [0, n) for `state`'s body and submits one helper task per
+  /// chunk, up to the worker count, except for the `joiner_chunks` (0 or
+  /// 1) the caller claims by joining at once.
+  Batch Launch(size_t n, std::shared_ptr<ForState> state,
+               size_t joiner_chunks);
+  /// Claims and runs chunks until none is left unclaimed.
+  static void RunChunks(ForState& state);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
@@ -113,6 +134,35 @@ class ThreadPool {
   std::atomic<size_t> busy_workers_{0};
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> chunks_executed_{0};
+};
+
+/// A started ParallelFor (ThreadPool::Start). Move-only. A handle
+/// destroyed or assigned over without a Join() joins first; an exception
+/// the batch then holds is a CHECK failure, never discarded.
+class ThreadPool::Batch {
+ public:
+  Batch() = default;
+  Batch(Batch&&) noexcept = default;
+  Batch& operator=(Batch&& other) noexcept;
+  ~Batch();
+
+  /// True from Start until the handle is joined.
+  bool active() const { return state_ != nullptr; }
+
+  /// Runs every chunk nobody has claimed yet on the calling thread, waits
+  /// for the claimed ones, then rethrows the first exception the body
+  /// threw. The handle is inactive afterwards; joining an inactive handle
+  /// does nothing.
+  void Join();
+
+ private:
+  friend class ThreadPool;
+  explicit Batch(std::shared_ptr<ForState> state) : state_(std::move(state)) {}
+  /// Join() for the destructor and assignment: CHECK-fails on an
+  /// exception.
+  void JoinOrDie() noexcept;
+
+  std::shared_ptr<ForState> state_;
 };
 
 }  // namespace gids

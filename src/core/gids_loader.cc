@@ -168,8 +168,7 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
     }
   }
   gatherer_ = std::make_unique<storage::FeatureGatherer>(
-      &fs, bam_.get(), cpu_buffer_.get(), pool_.get(),
-      options_.coalesce_pages);
+      &fs, bam_.get(), cpu_buffer_.get(), options_.coalesce_pages);
   if (options_.use_window_buffering) {
     window_ = std::make_unique<WindowBuffer>(cache_.get(), &fs,
                                              cpu_buffer_.get());
@@ -273,6 +272,9 @@ GidsLoader::~GidsLoader() {
       // A throwing prefetch already surfaced (or will never be consumed);
       // destruction must not rethrow.
     }
+    // Then the sample batch it or Next() left in flight (an exception it
+    // holds is a CHECK failure).
+    ahead_.job = ThreadPool::Batch();
   }
   if (options_.metrics != nullptr && observer_ != nullptr) {
     // The registry outlives the loader, but the pull-style callbacks bound
@@ -304,61 +306,89 @@ void GidsLoader::Recycle(loaders::LoaderBatch&& batch) {
   }
 }
 
-void GidsLoader::EnsureSampledAhead(size_t count) {
-  // Seed batches are drawn serially: the seed iterator is the one stateful
-  // input, and drawing in iteration order keeps the seed stream identical
-  // to a serial loader's.
-  while (pending_.size() < count) {
-    // Reuse a parked Pending (seeds + block capacity) when one exists;
-    // otherwise adopt a recycled MiniBatch so its blocks seed the new one.
-    Pending p;
-    if (!pending_free_.empty()) {
-      p = std::move(pending_free_.back());
-      pending_free_.pop_back();
-      p.sampled = false;
-      p.registered = false;
-    }
-    if (p.batch.blocks.empty()) {
-      // A parked Pending's batch was moved into a LoaderBatch; its block
-      // storage comes back through Recycle().
-      std::lock_guard<std::mutex> lock(recycle_mu_);
-      if (!batch_free_.empty()) {
-        p.batch = std::move(batch_free_.back());
-        batch_free_.pop_back();
-      }
-    }
-    p.iteration = next_sample_iteration_++;
-    seeds_->NextBatchInto(p.seeds);
-    pending_.push_back(std::move(p));
+GidsLoader::Pending GidsLoader::NextPending() {
+  // Reuse a parked Pending (seeds + block capacity) when one exists;
+  // otherwise adopt a recycled MiniBatch so its blocks seed the new one.
+  Pending p;
+  if (!pending_free_.empty()) {
+    p = std::move(pending_free_.back());
+    pending_free_.pop_back();
+    p.registered = false;
   }
-
-  sample_todo_.clear();
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (!pending_[i].sampled) sample_todo_.push_back(i);
+  if (p.batch.blocks.empty()) {
+    // A parked Pending's batch was moved into a LoaderBatch; its block
+    // storage comes back through Recycle().
+    std::lock_guard<std::mutex> lock(recycle_mu_);
+    if (!batch_free_.empty()) {
+      p.batch = std::move(batch_free_.back());
+      batch_free_.pop_back();
+    }
   }
-  if (sample_todo_.empty()) return;
+  p.iteration = next_sample_iteration_++;
+  seeds_->NextBatchInto(p.seeds);
+  return p;
+}
 
-  auto sample_one = [this](Pending& p) {
-    sampler_->SampleAtInto(p.seeds, p.iteration, &p.batch);
-    // Per-call workspace (not a member): sample_one runs concurrently.
-    Workspace<uint64_t> layer_edges;
-    p.batch.LayerEdgeCountsInto(layer_edges);
-    p.sampling_ns = system_->gpu().SamplingTime(
-        layer_edges.data(), static_cast<int>(layer_edges.size()),
-        dataset_->graph.structure_bytes());
-    p.sampled = true;
-  };
-  if (pool_ != nullptr && sampler_->concurrent_safe() &&
-      sample_todo_.size() > 1) {
-    // Every iteration draws from its own RNG stream, so the merged future
-    // iterations (§3.2: independent by construction) sample concurrently
-    // without perturbing any iteration's batch.
-    pool_->ParallelFor(sample_todo_.size(), [&](size_t j) {
-      sample_one(pending_[sample_todo_[j]]);
-    });
+void GidsLoader::SampleOne(Pending& p) const {
+  sampler_->SampleAtInto(p.seeds, p.iteration, &p.batch);
+  // Per-call workspace (not a member): SampleOne runs concurrently.
+  Workspace<uint64_t> layer_edges;
+  p.batch.LayerEdgeCountsInto(layer_edges);
+  p.sampling_ns = system_->gpu().SamplingTime(
+      layer_edges.data(), static_cast<int>(layer_edges.size()),
+      dataset_->graph.structure_bytes());
+}
+
+void GidsLoader::JoinSampleBatch() {
+  if (ahead_.items.empty()) return;
+  // A sampler exception escapes with the items still here and no active
+  // job, so the next call samples them all again: a half-sampled
+  // iteration never reaches pending_.
+  if (ahead_.job.active()) {
+    ahead_.job.Join();
+  } else if (pool_ != nullptr && sampler_->concurrent_safe() &&
+             ahead_.items.size() > 1) {
+    // Every iteration draws from its own RNG stream, so iterations sample
+    // concurrently without perturbing any iteration's batch.
+    pool_->ParallelFor(ahead_.items.size(),
+                       [this](size_t i) { SampleOne(ahead_.items[i]); });
   } else {
-    for (size_t i : sample_todo_) sample_one(pending_[i]);
+    for (Pending& p : ahead_.items) SampleOne(p);
   }
+  for (Pending& p : ahead_.items) pending_.push_back(std::move(p));
+  ahead_.items.clear();
+}
+
+void GidsLoader::EnsureSampledAhead(size_t count) {
+  if (pending_.size() < count) JoinSampleBatch();
+  if (pending_.size() < count) {
+    // Nothing is in flight now: draw the missing iterations and sample
+    // them here, through ahead_ so none reaches pending_ unsampled.
+    while (pending_.size() + ahead_.items.size() < count) {
+      ahead_.items.push_back(NextPending());
+    }
+    JoinSampleBatch();
+  }
+  AtomicFetchMax(peak_lookahead_, pending_.size());
+}
+
+void GidsLoader::LaunchSampleBatch(size_t group, size_t lookahead) {
+  // One batch in flight, launched while one pending iteration beyond the
+  // window is still left: the batch then overlaps this gather and the
+  // next, and at most group + lookahead + threads + 1 iterations are ever
+  // pending or in flight.
+  if (pool_ == nullptr || !sampler_->concurrent_safe() ||
+      !ahead_.items.empty() || pending_.size() > group + lookahead + 1) {
+    return;
+  }
+  // One iteration per worker: all are claimed at once, so the joiner
+  // rarely has one left to sample itself.
+  const size_t batch = pool_->num_threads();
+  for (size_t i = 0; i < batch; ++i) ahead_.items.push_back(NextPending());
+  AtomicFetchMax(peak_lookahead_, pending_.size() + ahead_.items.size());
+  // items is not resized until the join, so the tasks' references hold.
+  ahead_.job = pool_->Start(
+      batch, [this](size_t i) { SampleOne(ahead_.items[i]); });
 }
 
 void GidsLoader::RegisterWindow(size_t count) {
@@ -418,6 +448,12 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
                          : 0;
   EnsureSampledAhead(group + lookahead);
   RegisterWindow(group + lookahead);
+  // The pool samples the next look-ahead batch while this thread runs the
+  // rest of the group, the gather above all. Sampling further ahead
+  // changes no batch: each iteration has its own RNG stream, seeds are
+  // drawn in order, and the sampler's graph is never mutated (edge deltas
+  // are journaled, MutationStream).
+  LaunchSampleBatch(group, lookahead);
 
   // --- Journaled write path (FAULTS.md "Durability & failover"): before
   // the group's gathers, drive the mutation stream one group forward —

@@ -111,15 +111,16 @@ struct GidsOptions : storage::FaultOptions,
   /// bit.
   bool coalesce_pages = false;
 
-  /// Host-side data-preparation parallelism: worker threads for the
-  /// parallel sampling of accumulator-merged iterations and the sharded
-  /// feature gather. 1 keeps preparation on the calling thread. Results
-  /// are bit-identical across values (see DESIGN.md "Host parallelism").
+  /// Host-side data-preparation parallelism: worker threads that sample
+  /// the look-ahead asynchronously, one iteration per worker per batch,
+  /// while the calling thread runs the serial feature gather. 1 keeps
+  /// preparation on the calling thread. Results are bit-identical across
+  /// values (see DESIGN.md "Host parallelism").
   uint32_t host_threads = 1;
 
   /// Accumulator groups to prepare asynchronously ahead of consumption
-  /// (double buffering: iteration i trains while group i+1 samples and
-  /// gathers on the pool). 0 prepares groups inline in Next(). Any
+  /// (double buffering: iteration i trains while group i+1 is prepared by
+  /// a task on the pool). 0 prepares groups inline in Next(). Any
   /// nonzero value creates the host pool even with host_threads == 1.
   uint32_t prefetch_depth = 0;
 
@@ -218,6 +219,11 @@ class GidsLoader : public loaders::DataLoader {
   ~GidsLoader() override;
 
   std::string_view name() const override { return options_.display_name; }
+  /// The next iteration. With a pool and a concurrent-safe sampler, the
+  /// pool may still be sampling look-ahead iterations when Next() returns
+  /// (and a prefetch task preparing groups, with prefetch_depth > 0):
+  /// sampler calls overlap the caller's work until a later Next() joins
+  /// the batch or the loader is destroyed (Sampler::concurrent_safe).
   StatusOr<loaders::LoaderBatch> Next() override;
   /// Banks the consumed batch's seed/block/feature storage for reuse by a
   /// later iteration (the zero-allocation loop, DESIGN.md §11). Safe to
@@ -241,22 +247,51 @@ class GidsLoader : public loaders::DataLoader {
   /// The host data-preparation pool (null when host_threads == 1 and
   /// prefetch is off).
   const ThreadPool* host_pool() const { return pool_.get(); }
+  /// The most sampled iterations that were ever pending or in flight at
+  /// once: at most group + window depth + pool threads + 1.
+  size_t peak_lookahead() const {
+    return peak_lookahead_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// One look-ahead iteration: drawn seeds, and once sampled its batch.
   struct Pending {
     uint64_t iteration = 0;  // global iteration index (RNG stream key)
     std::vector<graph::NodeId> seeds;
     sampling::MiniBatch batch;
     TimeNs sampling_ns = 0;
-    bool sampled = false;
     bool registered = false;  // entered the window buffer
   };
+  /// Drawn iterations on their way into pending_. With an active job they
+  /// are the batch the pool samples while the caller gathers; without one
+  /// JoinSampleBatch() still has to sample them (freshly drawn, or left by
+  /// a sampler exception). They enter pending_ only once sampled, so
+  /// pending_ is touched by the preparing thread alone.
+  struct SampleBatch {
+    std::vector<Pending> items;
+    ThreadPool::Batch job;
+  };
 
-  /// Samples ahead until at least `count` mini-batches are pending. Seed
-  /// batches are drawn serially (the seed iterator is stateful); the
-  /// sampler calls run on the pool when the sampler is concurrent-safe,
-  /// each iteration on its own deterministic RNG stream.
+  /// The next iteration with its seeds drawn, reusing parked storage.
+  /// Seeds are drawn serially in iteration order: the seed iterator is
+  /// the one stateful input, so the seed stream stays a serial loader's.
+  Pending NextPending();
+  /// Samples `p` on its own RNG stream; safe on several threads at once
+  /// for a concurrent-safe sampler.
+  void SampleOne(Pending& p) const;
+  /// Samples ahead until at least `count` mini-batches are pending: joins
+  /// the batch in flight if pending_ falls short, then samples any still
+  /// missing iterations now (on the pool when the sampler is
+  /// concurrent-safe).
   void EnsureSampledAhead(size_t count);
+  /// Waits for the batch in flight, or samples ahead_'s iterations now
+  /// when none is, then appends them to pending_. A sampler exception
+  /// propagates and leaves them in ahead_ to be sampled again.
+  void JoinSampleBatch();
+  /// Starts sampling the next pool-threads iterations on the pool when no
+  /// batch is in flight and at most group + lookahead + 1 are pending.
+  /// Only for a concurrent-safe sampler.
+  void LaunchSampleBatch(size_t group, size_t lookahead);
   /// Registers every pending batch in [0, count) with the window buffer.
   void RegisterWindow(size_t count);
   /// Prepares the next accumulator group. Never runs concurrently with
@@ -287,6 +322,10 @@ class GidsLoader : public loaders::DataLoader {
   std::unique_ptr<ThreadPool> pool_;
 
   std::deque<Pending> pending_;
+  SampleBatch ahead_;
+  /// Atomic because the prefetch task updates it while the consumer
+  /// thread may read it.
+  std::atomic<uint64_t> peak_lookahead_{0};
   std::deque<loaders::LoaderBatch> ready_;
   /// Consumed Pendings parked for reuse: their seeds vector and MiniBatch
   /// blocks keep their capacity across iterations. Touched only by the
@@ -302,7 +341,6 @@ class GidsLoader : public loaders::DataLoader {
   // Group-preparation scratch, reused across calls (single-flight, like
   // the gatherer's members): pool-backed so steady-state groups allocate
   // nothing.
-  Workspace<size_t> sample_todo_;
   Workspace<storage::GatherSlice> gather_slices_;
   Workspace<storage::FeatureGatherCounts> slice_counts_;
   Workspace<storage::SoftwareCache::ScrubResult> scrub_results_;

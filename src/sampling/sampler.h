@@ -48,7 +48,12 @@ class Sampler {
   }
 
   /// True when SampleAtInto is a pure function of (seed, iteration, seeds)
-  /// and safe to call from several threads at once.
+  /// and safe to call from several threads at once. The GIDS loader then
+  /// calls it on its pool's threads, also between and after its Next()
+  /// calls: a look-ahead sample batch stays in flight until a later Next()
+  /// joins it or the loader is destroyed. Whatever such a sampler writes
+  /// beside `out` (a trace log, say) must be safe to read while the loader
+  /// lives, or be read only after the loader is gone.
   virtual bool concurrent_safe() const { return true; }
 
   /// Stateful convenience wrappers: SampleAtInto with an internal monotone

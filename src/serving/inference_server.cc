@@ -53,7 +53,7 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
     pool_ = std::make_unique<ThreadPool>(options_.host_threads);
   }
   gatherer_ = std::make_unique<storage::FeatureGatherer>(
-      &fs_, bam_.get(), /*hot_buffer=*/nullptr, pool_.get(),
+      &fs_, bam_.get(), /*hot_buffer=*/nullptr,
       /*coalesce_pages=*/options_.coalesce_across_requests);
 
   if (options_.metrics != nullptr) {

@@ -59,8 +59,8 @@ struct ServingOptions {
   uint64_t gpu_cache_lines = 512;
   /// Software-cache shard count override; 0 = automatic (as GidsOptions).
   uint32_t cache_shards = 0;
-  /// Worker threads for intra-batch parallel sampling + sharded gather;
-  /// results are bit-identical across values.
+  /// Worker threads for intra-batch parallel sampling (the gather is
+  /// serial); results are bit-identical across values.
   uint32_t host_threads = 1;
   /// Striped SSD count of the storage array.
   int n_ssd = 1;
@@ -136,9 +136,9 @@ struct ServingRunResult {
 /// loader, times that call as one kernel; service time is
 ///   max(aggregation + the gather's retry penalty, sum of sampling) +
 ///   sum of per-request GNN compute,
-/// mirroring the loader's overlap model. Worker threads only
-/// parallelize inside a batch, and the gather is bit-identical at any
-/// thread count, so the whole run is reproducible across host_threads.
+/// mirroring the loader's overlap model. Worker threads only sample
+/// inside a batch, and the gather is one serial pass, so the whole run is
+/// reproducible across host_threads.
 class InferenceServer {
  public:
   InferenceServer(const graph::CscGraph* graph, sampling::Sampler* sampler,

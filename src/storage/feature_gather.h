@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/workspace_pool.h"
 #include "graph/feature_store.h"
 #include "graph/types.h"
@@ -156,32 +155,26 @@ struct GatherSlice {
 /// (optional) -> GPU software cache -> SSD array. Output rows are float32
 /// feature vectors in the order of `nodes`.
 ///
-/// With a ThreadPool the gather runs as a shard-keyed two-phase pipeline
-/// that is bit-identical to the serial gather for any thread count:
-///   Phase 1 (parallel over node chunks): validate ids, serve hot nodes
-///     from the CPU buffer, and bucket every page access by the cache
-///     shard that owns it, preserving global node order within each
-///     bucket (chunks are contiguous and concatenated in index order).
-///   Phase 2 (parallel over shards): replay each shard's access sequence
-///     in order against the cache/storage path with a per-shard page
-///     scratch buffer, then reduce the per-shard counts.
-/// Because every cache shard still sees exactly the access sequence the
-/// serial gather would have produced, hits, evictions, and pin drains are
-/// independent of the thread count. One gather may run at a time; callers
-/// (GidsLoader) serialize gathers and parallelize within them.
+/// A gather is one serial pass on the calling thread: it validates every
+/// node id, then walks the slices in order, serving hot nodes from the CPU
+/// buffer and recording every other node's page accesses in slice-major
+/// node order. Each cache shard therefore sees its accesses in that order,
+/// which is the whole determinism contract: hits, evictions and pin drains
+/// are a pure function of the access sequence. Host parallelism lives in
+/// the loader, which samples the look-ahead on its pool while the caller
+/// gathers (DESIGN.md §7); the gather itself has no pool.
 ///
-/// Page coalescing (DESIGN.md §10): with `coalesce_pages` on, phase 2
-/// groups each shard's replayed access sequence by page (first-occurrence
-/// order) and services every distinct page with exactly one cache/storage
+/// Page coalescing (DESIGN.md §10): with `coalesce_pages` on, the pass
+/// groups the access sequence by page (first-occurrence order) and
+/// services every distinct page with exactly one cache/storage
 /// round-trip, scattering the payload to all requesting output rows.
 /// Duplicate nodes in a mini-batch, rows whose features share a page, and
 /// repeats across accumulator-merged iterations (GatherGroup) all collapse
 /// into one SSD read — the paper's premise that concurrent same-page
 /// requests coalesce in the BaM I/O stack (§2). The coalesced service
 /// drains all member window-buffer pins at once (BamArray's `reuses`), so
-/// end-of-gather cache state matches the uncoalesced books. Grouping is a
-/// pure function of the canonical per-shard sequence, so results stay
-/// bit-identical at any thread count.
+/// end-of-gather cache state matches the uncoalesced books. Without
+/// coalescing every access round-trips individually, in node order.
 ///
 /// Degraded mode (FAULTS.md): a storage read that exhausted its retries
 /// (Status::Unavailable from the fault-injected array) does not fail the
@@ -189,21 +182,20 @@ struct GatherSlice {
 /// zero-filled, the node is counted once in counts->degraded_nodes, and
 /// the gather completes. Unrepairable silent corruption (Status::DataLoss
 /// from a verifying array, INTEGRITY.md) degrades the same way but is
-/// counted separately in counts->corrupt_nodes. Hard device errors
-/// (kIoError) still abort. Under coalescing a failed page degrades every
-/// row that shares it — the same set an uncoalesced gather flags, because
-/// fault outcomes are a pure function of (seed, page, attempt) and nothing
-/// is cached on failure, so duplicate uncoalesced re-reads replay the
-/// identical outcome.
+/// counted separately in counts->corrupt_nodes. Any other read error stops
+/// the pass at the failing read and is returned. Under coalescing a failed
+/// page degrades every row that shares it — the same set an uncoalesced
+/// gather flags, because fault outcomes are a pure function of (seed,
+/// page, attempt) and nothing is cached on failure, so duplicate
+/// uncoalesced re-reads replay the identical outcome.
 class FeatureGatherer {
  public:
-  /// `hot_buffer` may be null (plain BaM gather). `pool` may be null
-  /// (serial gather; also the fallback for single-shard caches).
-  /// `coalesce_pages` enables the page-coalescing phase 2 (default off:
-  /// every access round-trips individually, the pre-coalescing behaviour).
+  /// `hot_buffer` may be null (plain BaM gather). `coalesce_pages` enables
+  /// page coalescing (default off: every access round-trips individually,
+  /// the pre-coalescing behaviour).
   FeatureGatherer(const graph::FeatureStore* layout, BamArray* array,
                   const HotNodeBuffer* hot_buffer = nullptr,
-                  ThreadPool* pool = nullptr, bool coalesce_pages = false);
+                  bool coalesce_pages = false);
 
   const graph::FeatureStore& layout() const { return *layout_; }
 
@@ -235,82 +227,56 @@ class FeatureGatherer {
   /// share, added in: a serviced round-trip is charged to the slice of the
   /// group's first requester, later members charge coalesced_requests to
   /// their own slice, and degraded/corrupt rows are counted in their own
-  /// slice. Summing the entries yields the group totals.
+  /// slice. Summing the entries yields the group totals. On an error the
+  /// entries are left as they were.
   ///
   /// `receipt`, if given, is overwritten with the penalty and failovers of
   /// the storage reads this call issued. With coalescing off, the receipt
   /// too equals the sum over one call per slice.
+  ///
+  /// Calls on one gatherer serialize on an internal mutex (the scratch is
+  /// shared across calls).
   Status GatherGroup(std::span<const GatherSlice> slices,
                      std::span<FeatureGatherCounts> per_slice_counts,
                      GatherReceipt* receipt = nullptr);
 
  private:
-  /// Bucket that owns `page` in phase 2: the cache shard, or a fixed
-  /// power-of-two hash bucket when the array is cache-less (the storage
-  /// path is commutative, so cache-less bucketing is unconstrained).
-  uint32_t BucketFor(uint64_t page) const;
-
-  /// One page access on behalf of one output row (bucket precomputed in
-  /// phase 1 so the scatter into per-bucket sequences is a flat copy).
+  /// One page access on behalf of one output row.
   struct Access {
     uint64_t page;
     uint64_t node;   // index into the slice's `nodes`
     uint32_t slice;  // index into `slices`
-    uint32_t bucket;
   };
   /// (slice, node) identifies one output row across the group.
   using RowId = std::pair<uint32_t, uint64_t>;
 
-  struct ChunkScratch {
-    Workspace<Access> accesses;      // this chunk's accesses, node order
-    Workspace<uint64_t> cpu_hits;    // per slice
-    Workspace<uint64_t> per_bucket;  // access count per bucket
-    bool bad_node = false;
-  };
-  struct BucketScratch {
-    Workspace<std::byte> page_buf;
-    // Coalescing-group scratch: distinct pages in first-occurrence order
-    // and their members via counting sort (seq order within each group).
-    PooledFlatMap<uint64_t, uint32_t> group_of;  // page -> group id
-    Workspace<uint64_t> group_pages;
-    Workspace<uint64_t> group_counts;
-    Workspace<uint64_t> group_cursor;
-    Workspace<uint64_t> members;  // indices into the bucket's seq span
-    // Fault paths are rare; plain vectors (empty in the steady state the
-    // zero-allocation gate measures).
-    std::vector<RowId> degraded;
-    std::vector<RowId> corrupt;
-    // This call's receipt penalties from the bucket's storage reads.
-    TimeNs penalty_ns = 0;
-    TimeNs crc_ns = 0;
-    TimeNs degraded_ns = 0;
-  };
-
   const graph::FeatureStore* layout_;
   BamArray* array_;
   const HotNodeBuffer* hot_buffer_;
-  ThreadPool* pool_;
   bool coalesce_pages_ = false;
-  uint32_t cacheless_buckets_ = 1;  // power of two
 
   // Reusable gather scratch, pool-backed so steady-state gathers allocate
-  // nothing. gather_mu_ serializes GatherGroup: the loader already runs one
-  // gather at a time (class contract above), and the mutex keeps stray
-  // concurrent callers correct instead of racing on the scratch.
+  // nothing; guarded by gather_mu_.
   std::mutex gather_mu_;
-  Workspace<uint64_t> slice_begin_;
-  std::vector<ChunkScratch> chunks_;
-  Workspace<Access> seq_;          // per-bucket contiguous, node order
-  Workspace<uint64_t> bucket_begin_;  // buckets + 1 offsets into seq_
-  Workspace<GatherCounts> bucket_gc_;      // buckets x num_slices
-  Workspace<uint64_t> bucket_coalesced_;   // buckets x num_slices
-  Workspace<uint64_t> bucket_distinct_;    // buckets x num_slices
-  // Failover reads, buckets x (n_ssd primary devices failed over from,
-  // then kMaxReplicas replicas failed over to); empty without replicas.
-  Workspace<uint64_t> bucket_failovers_;
-  std::vector<Status> bucket_status_;
-  std::vector<BucketScratch> bucket_scratch_;
-  std::vector<RowId> merged_rows_;  // count_union scratch (fault paths)
+  Workspace<Access> seq_;  // every cache/storage access, node order
+  Workspace<FeatureGatherCounts> counts_;  // per slice
+  Workspace<std::byte> page_buf_;
+  // Coalescing-group scratch: distinct pages in first-occurrence order
+  // and their members via counting sort (seq order within each group).
+  PooledFlatMap<uint64_t, uint32_t> group_of_;  // page -> group id
+  Workspace<uint64_t> group_pages_;
+  Workspace<uint64_t> group_counts_;
+  Workspace<uint64_t> group_cursor_;
+  Workspace<uint64_t> members_;  // indices into seq_
+  // Failover reads: n_ssd primary devices failed over from, then
+  // kMaxReplicas replicas failed over to; empty without replicas.
+  Workspace<uint64_t> failovers_;
+  // Rows whose pages failed; a row's pages can fail separately, so each
+  // list is sorted and deduplicated before counting. Fault paths are
+  // rare: plain vectors, empty in the steady state the zero-allocation
+  // gate measures.
+  std::vector<RowId> degraded_;
+  std::vector<RowId> corrupt_;
 };
 
 }  // namespace gids::storage

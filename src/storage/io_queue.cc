@@ -1,7 +1,5 @@
 #include "storage/io_queue.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace gids::storage {
@@ -20,12 +18,11 @@ Status IoQueuePair::Submit(const IoRequest& request) {
   return Status::OK();
 }
 
-std::vector<IoRequest> IoQueuePair::PopSubmitted(uint32_t max) {
-  uint32_t take =
-      static_cast<uint32_t>(std::min<size_t>(max, submission_.size()));
-  std::vector<IoRequest> out(submission_.begin(), submission_.begin() + take);
-  submission_.erase(submission_.begin(), submission_.begin() + take);
-  return out;
+std::optional<IoRequest> IoQueuePair::PopOneSubmitted() {
+  if (submission_.empty()) return std::nullopt;
+  IoRequest request = submission_.front();
+  submission_.erase(submission_.begin());
+  return request;
 }
 
 void IoQueuePair::Complete(uint64_t tag) {

@@ -34,8 +34,10 @@ class IoQueuePair {
   /// time backoff and dead-letters a read once its retries are exhausted.
   Status Submit(const IoRequest& request);
 
-  /// Device side: pops up to `max` submitted requests for service.
-  std::vector<IoRequest> PopSubmitted(uint32_t max);
+  /// Device side: pops the oldest submitted request for service, if any,
+  /// without allocating. The request stays outstanding until its
+  /// completion is reaped.
+  std::optional<IoRequest> PopOneSubmitted();
 
   /// Device side: posts a completion for `tag`.
   void Complete(uint64_t tag);

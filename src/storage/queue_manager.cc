@@ -26,9 +26,9 @@ Status QueueManager::RoundTrip(uint64_t lba) {
   uint64_t tag = next_tag_++;
   // Device side services the command immediately (latency is accounted by
   // the timing models, not here).
-  auto popped = q.PopSubmitted(1);
-  GIDS_CHECK(popped.size() == 1);
-  q.Complete(popped[0].tag);
+  std::optional<IoRequest> popped = q.PopOneSubmitted();
+  GIDS_CHECK(popped.has_value());
+  q.Complete(popped->tag);
   auto done = q.PollCompletion();
   GIDS_CHECK(done.has_value() && *done == tag);
   ++total_submissions_;

@@ -77,9 +77,9 @@ struct CacheStats {
 /// (hits, evictions, pins) is therefore a pure function of the *per-shard
 /// access sequences*: callers that want results independent of their
 /// thread count must present each shard's accesses in a canonical order
-/// (see FeatureGatherer's shard-keyed two-phase gather). Small caches
-/// (under 512 lines) auto-collapse to a single shard, which reproduces
-/// the pre-sharding serial cache bit for bit.
+/// (FeatureGatherer's one-pass gather presents them in node order). Small
+/// caches (under 512 lines) auto-collapse to a single shard, which
+/// reproduces the pre-sharding serial cache bit for bit.
 class SoftwareCache {
  public:
   /// `num_pages` bounds the page ids the cache accepts: per-page state
@@ -141,8 +141,7 @@ class SoftwareCache {
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint64_t resident_lines() const;
 
-  /// Shard index that owns `page`. Stable for the cache's lifetime; the
-  /// parallel gather uses it to bucket page accesses by owner shard.
+  /// Shard index that owns `page`. Stable for the cache's lifetime.
   uint32_t ShardFor(uint64_t page) const {
     // Fibonacci hashing: top bits of the multiplied key are well mixed
     // even for sequential page ids.

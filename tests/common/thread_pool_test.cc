@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -149,8 +150,8 @@ TEST(ThreadPoolTest, ParallelForTinyRangeCoversAll) {
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-// Regression: the GIDS prefetch task runs on the pool and calls
-// ParallelFor on the *same* pool for sampling/gather. Caller
+// Regression: the GIDS prefetch task runs on the pool and starts and
+// joins batches on the *same* pool for sampling and scrubbing. Joiner
 // participation means this cannot deadlock even when every worker is
 // occupied by the outer task.
 TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
@@ -163,6 +164,99 @@ TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
   }
   pool.Wait();
   EXPECT_EQ(inner_total.load(), 4 * 25);
+}
+
+// Start returns at once and Join runs whatever nobody has claimed: a batch
+// started on a one-worker pool whose worker is blocked still completes on
+// the joining thread, while the worker stays blocked.
+TEST(ThreadPoolTest, JoinCompletesBatchWhileTheOnlyWorkerIsBlocked) {
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> worker_released{false};
+  pool.Submit([opened, &worker_released] {
+    opened.wait();
+    worker_released.store(true);
+  });
+  std::vector<std::atomic<int>> touched(10);
+  ThreadPool::Batch batch =
+      pool.Start(touched.size(), [&touched](size_t i) { touched[i]++; });
+  EXPECT_TRUE(batch.active());
+  batch.Join();
+  EXPECT_FALSE(batch.active());
+  EXPECT_FALSE(worker_released.load());
+  for (auto& t : touched) EXPECT_EQ(t.load(), 1);
+  gate.set_value();
+  pool.Wait();  // the batch's helper finds nothing left to claim
+  EXPECT_TRUE(worker_released.load());
+}
+
+// Join rethrows the first exception the body threw. With the only worker
+// blocked the joiner runs every chunk in index order, so "first" is
+// deterministic; the throw abandons only the rest of its own chunk.
+TEST(ThreadPoolTest, JoinRethrowsFirstException) {
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  pool.Submit([opened] { opened.wait(); });
+  std::atomic<int> completed{0};
+  ThreadPool::Batch batch = pool.Start(20, [&completed](size_t i) {
+    if (i == 3 || i == 17) {
+      throw std::runtime_error("item " + std::to_string(i));
+    }
+    completed++;
+  });
+  try {
+    batch.Join();
+    ADD_FAILURE() << "Join did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 3");
+  }
+  EXPECT_FALSE(batch.active());
+  // 20 indices in 4 chunks of 5: the throws abandon items 3 and 4 of
+  // chunk [0,5) and items 17 to 19 of chunk [15,20).
+  EXPECT_EQ(completed.load(), 15);
+  gate.set_value();
+  pool.Wait();
+}
+
+// A handle dropped without a Join, by destruction or by assigning another
+// batch over it, joins it: every index has run when it is gone.
+TEST(ThreadPoolTest, DroppedBatchIsJoined) {
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  pool.Submit([opened] { opened.wait(); });
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  {
+    ThreadPool::Batch batch =
+        pool.Start(8, [&first](size_t) { first++; });
+    batch = pool.Start(8, [&second](size_t) { second++; });
+    EXPECT_EQ(first.load(), 8);
+  }
+  EXPECT_EQ(second.load(), 8);
+  ThreadPool::Batch empty = pool.Start(0, [](size_t) { FAIL(); });
+  EXPECT_FALSE(empty.active());
+  gate.set_value();
+  pool.Wait();
+}
+
+// ParallelFor's caller joins at once and claims a chunk itself, so it
+// queues one helper fewer than Start, whose caller may join much later:
+// three chunks on four workers take two helper tasks, or three.
+TEST(ThreadPoolTest, ParallelForQueuesOneHelperFewerThanStart) {
+  ThreadPool pool(4);
+  const uint64_t before = pool.tasks_executed();
+  pool.ParallelFor(3, [](size_t) {});
+  pool.Wait();
+  EXPECT_EQ(pool.tasks_executed() - before, 2u);
+  pool.ParallelForChunked(3, [](size_t, size_t) {});
+  pool.Wait();
+  EXPECT_EQ(pool.tasks_executed() - before, 4u);
+  pool.Start(3, [](size_t) {}).Join();
+  pool.Wait();
+  EXPECT_EQ(pool.tasks_executed() - before, 7u);
 }
 
 TEST(ThreadPoolTest, IntrospectionCountersAdvance) {

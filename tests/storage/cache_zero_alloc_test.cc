@@ -1,14 +1,20 @@
-// A warm cache allocates nothing: look-ahead registrations, lookups,
-// insertions and invalidations of pages it has never seen, on a full,
-// evicting, window-pinned cache, make no heap allocation at all. The
-// count is taken at global operator new (tests/common/heap_counter.cc),
-// so it covers every allocator, not just pool misses; both files are
-// built into workspace_test only.
+// A warm storage stack allocates nothing: look-ahead registrations,
+// lookups, insertions and invalidations of pages a cache has never seen,
+// on a full, evicting, window-pinned cache, and fault-free storage reads,
+// make no heap allocation at all. The count is taken at global operator
+// new (tests/common/heap_counter.cc), so it covers every allocator, not
+// just pool misses; both files are built into workspace_test only.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
+#include "storage/block_device.h"
 #include "storage/software_cache.h"
+#include "storage/storage_array.h"
 #include "tests/common/heap_counter.h"
 
 namespace gids::storage {
@@ -45,6 +51,40 @@ TEST(CacheZeroAllocTest, FreshPagesOnAWarmCacheAllocateNothing) {
   EXPECT_GT(after.pinned_probe_skips, before.pinned_probe_skips);
   EXPECT_GT(pinned, 0u);
   EXPECT_EQ(cache.pinned_lines(), pinned);
+}
+
+// Every storage read drives a queue-pair round trip under the queue
+// manager's mutex; once the queues are warm that round trip, and the
+// whole read, allocates nothing, with a payload buffer or without one
+// (counting mode's empty span).
+TEST(StorageZeroAllocTest, WarmFaultFreeReadsAllocateNothing) {
+  constexpr uint64_t kPages = 4096;
+  constexpr uint32_t kPageBytes = 4096;
+  StorageArray array(
+      std::make_unique<FunctionBlockDevice>(
+          kPages, kPageBytes,
+          [](uint64_t lba, std::span<std::byte> out) {
+            for (std::byte& b : out) b = static_cast<std::byte>(lba);
+          }),
+      sim::SsdSpec::IntelOptane(), /*n_ssd=*/2, /*num_queues=*/4,
+      /*queue_depth=*/8);
+  std::vector<std::byte> payload(kPageBytes);
+  for (uint64_t p = 0; p < 64; ++p) {  // warm-up: every queue used
+    ASSERT_TRUE(array.ReadPage(p, payload).ok());
+    ASSERT_TRUE(array.ReadPage(p, {}).ok());
+  }
+  const uint64_t reads_before = array.total_reads();
+
+  const uint64_t allocs_before = gids::testing::HeapAllocations();
+  for (uint64_t p = 64; p < kPages; ++p) {
+    Status payload_read = array.ReadPage(p, payload);
+    Status counted_read = array.ReadPage(p, {});
+    if (!payload_read.ok() || !counted_read.ok()) break;
+  }
+  const uint64_t allocs = gids::testing::HeapAllocations() - allocs_before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(array.total_reads() - reads_before, 2 * (kPages - 64));
+  EXPECT_EQ(payload[0], static_cast<std::byte>(kPages - 1));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Determinism and fault-parity coverage for the page-coalescing gather
 // path (DESIGN.md §10). These tests are compiled into the
 // `coalescing`-labelled binary (run under asan-ubsan in tools/check.sh)
-// AND into the `concurrency`-labelled binary so the tsan preset hammers
-// the same surface under ThreadSanitizer.
+// AND into the `concurrency`-labelled binary so the tsan preset runs the
+// loader-level host_threads cases under ThreadSanitizer. The gather
+// against the per-shard replay it replaced is in gather_oracle_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/gids_loader.h"
 #include "graph/feature_store.h"
 #include "storage/bam_array.h"
@@ -25,7 +25,7 @@ namespace {
 
 struct CoalesceRig {
   CoalesceRig(uint32_t dim, graph::NodeId nodes, uint64_t cache_lines,
-              uint32_t num_shards, ThreadPool* pool, bool coalesce,
+              uint32_t num_shards, bool coalesce,
               const FaultOptions* faults = nullptr,
               const RetryPolicy* retry = nullptr)
       : fs(nodes, dim) {
@@ -44,7 +44,7 @@ struct CoalesceRig {
         /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
     gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
-                                                 /*hot_buffer=*/nullptr, pool,
+                                                 /*hot_buffer=*/nullptr,
                                                  coalesce);
   }
 
@@ -85,76 +85,6 @@ void ExpectCountsEqual(const FeatureGatherCounts& a,
   EXPECT_EQ(a.corrupt_nodes, b.corrupt_nodes) << "iteration " << iter;
 }
 
-// The coalescing determinism contract: a pooled coalescing gather over a
-// multi-shard cache is byte- and count-identical to the serial coalescing
-// gather, across iterations so cache state evolution matches too.
-TEST(CoalescingDeterminismTest, ParallelMatchesSerialBitForBit) {
-  constexpr uint32_t kDim = 128;
-  constexpr graph::NodeId kNodes = 4096;
-  ThreadPool pool(8);
-  CoalesceRig serial(kDim, kNodes, /*cache_lines=*/64, /*num_shards=*/4,
-                     nullptr, /*coalesce=*/true);
-  CoalesceRig parallel(kDim, kNodes, /*cache_lines=*/64, /*num_shards=*/4,
-                       &pool, /*coalesce=*/true);
-
-  for (int iter = 0; iter < 10; ++iter) {
-    auto nodes = SkewedNodeList(kNodes, 600, /*seed=*/2000 + iter);
-    FeatureGatherCounts sc, pc;
-    auto sout = serial.gatherer->Gather(nodes, &sc);
-    auto pout = parallel.gatherer->Gather(nodes, &pc);
-    ASSERT_TRUE(sout.ok());
-    ASSERT_TRUE(pout.ok());
-    ASSERT_EQ(*sout, *pout) << "iteration " << iter;
-    ExpectCountsEqual(sc, pc, iter);
-    EXPECT_GT(sc.coalesced_requests, 0u) << "skewed batch never coalesced";
-    const CacheStats& ss = serial.cache->stats();
-    const CacheStats& ps = parallel.cache->stats();
-    EXPECT_EQ(ss.hits, ps.hits);
-    EXPECT_EQ(ss.misses, ps.misses);
-    EXPECT_EQ(ss.insertions, ps.insertions);
-    EXPECT_EQ(ss.evictions, ps.evictions);
-    EXPECT_EQ(ss.bypasses, ps.bypasses);
-    EXPECT_EQ(serial.array->total_reads(), parallel.array->total_reads());
-  }
-}
-
-// Thread count and shard count sweeps: for every cache geometry, every
-// pool size reproduces that geometry's serial result exactly.
-TEST(CoalescingDeterminismTest, ThreadAndShardSweepsBitIdentical) {
-  constexpr uint32_t kDim = 128;
-  constexpr graph::NodeId kNodes = 2048;
-  auto run = [&](ThreadPool* pool, uint32_t shards) {
-    CoalesceRig rig(kDim, kNodes, /*cache_lines=*/48, shards, pool,
-                    /*coalesce=*/true);
-    std::vector<std::vector<float>> outs;
-    std::vector<FeatureGatherCounts> counts;
-    for (int iter = 0; iter < 6; ++iter) {
-      auto nodes = SkewedNodeList(kNodes, 400, /*seed=*/7000 + iter);
-      FeatureGatherCounts c;
-      auto out = rig.gatherer->Gather(nodes, &c);
-      GIDS_CHECK_OK(out.status());
-      outs.push_back(std::move(*out));
-      counts.push_back(c);
-    }
-    return std::pair<std::vector<std::vector<float>>,
-                     std::vector<FeatureGatherCounts>>(std::move(outs),
-                                                       std::move(counts));
-  };
-  for (uint32_t shards : {1u, 4u, 8u}) {
-    auto reference = run(nullptr, shards);
-    for (uint32_t threads : {1u, 4u, 8u}) {
-      ThreadPool pool(threads);
-      auto got = run(&pool, shards);
-      ASSERT_EQ(got.first, reference.first)
-          << "threads=" << threads << " shards=" << shards;
-      for (size_t i = 0; i < got.second.size(); ++i) {
-        ExpectCountsEqual(got.second[i], reference.second[i],
-                          static_cast<int>(i));
-      }
-    }
-  }
-}
-
 // Coalescing changes the traffic books, never the bytes — and it drains
 // window-buffer reuse pins exactly like the uncoalesced path (one
 // coalesced service consumes all member registrations at once).
@@ -162,9 +92,9 @@ TEST(CoalescingDeterminismTest, MatchesUncoalescedPayloadAndPinDrain) {
   constexpr uint32_t kDim = 128;  // 8 nodes per page: node n -> page n/8
   constexpr graph::NodeId kNodes = 512;
   CoalesceRig on(kDim, kNodes, /*cache_lines=*/128, /*num_shards=*/1,
-                 nullptr, /*coalesce=*/true);
+                 /*coalesce=*/true);
   CoalesceRig off(kDim, kNodes, /*cache_lines=*/128, /*num_shards=*/1,
-                  nullptr, /*coalesce=*/false);
+                  /*coalesce=*/false);
 
   for (int round = 0; round < 5; ++round) {
     auto nodes = SkewedNodeList(kNodes, 200, /*seed=*/31 + round);
@@ -194,8 +124,8 @@ TEST(CoalescingDeterminismTest, MatchesUncoalescedPayloadAndPinDrain) {
 }
 
 // A page that dead-letters degrades every row that shares it — the exact
-// set the uncoalesced gather flags — and the counts agree serial vs
-// parallel too.
+// set the uncoalesced gather flags — and the counts agree on a sharded
+// cache too.
 TEST(CoalescingFaultTest, DegradedPageFansOutToAllSharingRows) {
   constexpr uint32_t kDim = 128;  // 8 nodes per page
   RetryPolicy rp;
@@ -205,32 +135,31 @@ TEST(CoalescingFaultTest, DegradedPageFansOutToAllSharingRows) {
   // Rows 0,1,2,4 share page 0; row 3 is alone on page 1.
   std::vector<graph::NodeId> nodes = {0, 1, 2, 9, 1};
 
-  CoalesceRig on(kDim, 512, 16, /*num_shards=*/1, nullptr, true, &fo, &rp);
-  CoalesceRig off(kDim, 512, 16, /*num_shards=*/1, nullptr, false, &fo, &rp);
-  ThreadPool pool(4);
-  CoalesceRig par(kDim, 512, 16, /*num_shards=*/4, &pool, true, &fo, &rp);
+  CoalesceRig on(kDim, 512, 16, /*num_shards=*/1, true, &fo, &rp);
+  CoalesceRig off(kDim, 512, 16, /*num_shards=*/1, false, &fo, &rp);
+  CoalesceRig sharded(kDim, 512, 16, /*num_shards=*/4, true, &fo, &rp);
 
-  FeatureGatherCounts oc, fc, pc;
+  FeatureGatherCounts oc, fc, sc;
   auto oout = on.gatherer->Gather(nodes, &oc);
   auto fout = off.gatherer->Gather(nodes, &fc);
-  auto pout = par.gatherer->Gather(nodes, &pc);
+  auto sout = sharded.gatherer->Gather(nodes, &sc);
   ASSERT_TRUE(oout.ok());
   ASSERT_TRUE(fout.ok());
-  ASSERT_TRUE(pout.ok());
+  ASSERT_TRUE(sout.ok());
   // Every row is degraded in all three configurations.
   EXPECT_EQ(oc.degraded_nodes, nodes.size());
   EXPECT_EQ(fc.degraded_nodes, nodes.size());
-  EXPECT_EQ(pc.degraded_nodes, nodes.size());
+  EXPECT_EQ(sc.degraded_nodes, nodes.size());
   EXPECT_EQ(oc.storage_reads, 0u);
   // The coalesced gather attempted each shared page once; the uncoalesced
   // gather re-attempted per row (nothing is cached on failure).
   EXPECT_EQ(on.array->dead_letters_total(), 2u);
   EXPECT_EQ(off.array->dead_letters_total(), nodes.size());
-  EXPECT_EQ(par.array->dead_letters_total(), 2u);
+  EXPECT_EQ(sharded.array->dead_letters_total(), 2u);
   // Zero-fill contract holds for every row.
   for (float v : *oout) EXPECT_EQ(v, 0.0f);
   EXPECT_EQ(*oout, *fout);
-  EXPECT_EQ(*oout, *pout);
+  EXPECT_EQ(*oout, *sout);
 }
 
 // At a moderate fault rate the degraded set is a pure function of
@@ -242,8 +171,8 @@ TEST(CoalescingFaultTest, ModerateFaultRateParityWithUncoalesced) {
   rp.max_retries = 1;
   FaultOptions fo;
   fo.fault_rate = 0.4;
-  CoalesceRig on(kDim, 64, 16, /*num_shards=*/1, nullptr, true, &fo, &rp);
-  CoalesceRig off(kDim, 64, 16, /*num_shards=*/1, nullptr, false, &fo, &rp);
+  CoalesceRig on(kDim, 64, 16, /*num_shards=*/1, true, &fo, &rp);
+  CoalesceRig off(kDim, 64, 16, /*num_shards=*/1, false, &fo, &rp);
 
   for (int round = 0; round < 4; ++round) {
     auto nodes = SkewedNodeList(64, 120, /*seed=*/500 + round);
@@ -260,52 +189,17 @@ TEST(CoalescingFaultTest, ModerateFaultRateParityWithUncoalesced) {
   }
 }
 
-// Grouped (accumulator-merged) coalescing gathers keep per-slice
-// attribution deterministic under the pool.
-TEST(CoalescingDeterminismTest, GatherGroupParallelMatchesSerial) {
-  constexpr uint32_t kDim = 128;
-  constexpr graph::NodeId kNodes = 2048;
-  ThreadPool pool(8);
-  CoalesceRig serial(kDim, kNodes, 48, /*num_shards=*/4, nullptr, true);
-  CoalesceRig parallel(kDim, kNodes, 48, /*num_shards=*/4, &pool, true);
-
-  auto run = [&](CoalesceRig& rig) {
-    std::vector<std::vector<graph::NodeId>> lists;
-    for (int s = 0; s < 3; ++s) {
-      lists.push_back(SkewedNodeList(kNodes, 150, /*seed=*/9000 + s));
-    }
-    std::vector<std::vector<float>> outs(lists.size());
-    std::vector<GatherSlice> slices;
-    for (size_t s = 0; s < lists.size(); ++s) {
-      outs[s].resize(lists[s].size() * kDim);
-      slices.push_back({lists[s], std::span<float>(outs[s])});
-    }
-    std::vector<FeatureGatherCounts> per_slice(slices.size());
-    GIDS_CHECK_OK(rig.gatherer->GatherGroup(slices, per_slice));
-    return std::pair<std::vector<std::vector<float>>,
-                     std::vector<FeatureGatherCounts>>(std::move(outs),
-                                                       std::move(per_slice));
-  };
-  auto s = run(serial);
-  auto p = run(parallel);
-  ASSERT_EQ(s.first, p.first);
-  for (size_t i = 0; i < s.second.size(); ++i) {
-    ExpectCountsEqual(s.second[i], p.second[i], static_cast<int>(i));
-  }
-  // Cross-slice folding happened: slices repeat the hot set.
-  EXPECT_GT(s.second[1].coalesced_requests + s.second[2].coalesced_requests,
-            0u);
-}
-
 // --- End-to-end through the loader. -----------------------------------
 
 std::vector<loaders::LoaderBatch> RunLoader(bool coalesce,
                                             uint32_t host_threads,
-                                            int num_iterations) {
+                                            int num_iterations,
+                                            uint32_t cache_shards = 0) {
   gids::testing::LoaderRig rig;
   core::GidsOptions opts;
   opts.coalesce_pages = coalesce;
   opts.host_threads = host_threads;
+  opts.cache_shards = cache_shards;
   core::GidsLoader loader(rig.dataset.get(), rig.sampler.get(),
                           rig.seeds.get(), rig.system.get(), opts);
   std::vector<loaders::LoaderBatch> out;
@@ -334,6 +228,26 @@ TEST(CoalescingLoaderTest, HostThreadsDoNotChangeResults) {
                         static_cast<int>(i));
       EXPECT_EQ(serial[i].stats.e2e_ns, threaded[i].stats.e2e_ns)
           << "iteration " << i;
+    }
+  }
+}
+
+// Thread count and shard count sweeps: for every cache geometry, every
+// host_threads reproduces that geometry's one-thread run exactly.
+TEST(CoalescingDeterminismTest, ThreadAndShardSweepsBitIdentical) {
+  for (uint32_t shards : {1u, 4u, 8u}) {
+    auto reference = RunLoader(/*coalesce=*/true, /*host_threads=*/1, 8,
+                               shards);
+    for (uint32_t threads : {4u, 8u}) {
+      auto got = RunLoader(/*coalesce=*/true, threads, 8, shards);
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].features, reference[i].features)
+            << "threads=" << threads << " shards=" << shards << " iter " << i;
+        ExpectCountsEqual(got[i].stats.gather, reference[i].stats.gather,
+                          static_cast<int>(i));
+        EXPECT_EQ(got[i].stats.e2e_ns, reference[i].stats.e2e_ns);
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
-// Concurrency hammering for the lock-striped SoftwareCache, the
-// shard-keyed parallel FeatureGatherer, and per-call gather receipts on a
-// shared StorageArray. These tests are built into the
+// Concurrency hammering for the lock-striped SoftwareCache, concurrent
+// FeatureGatherer calls, and per-call gather receipts on a shared
+// StorageArray. These tests are built into the
 // `concurrency`-labelled test binary so the tsan preset can run exactly
 // this surface under ThreadSanitizer (see CMakePresets.json).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "graph/feature_store.h"
 #include "storage/bam_array.h"
 #include "storage/fault_injector.h"
@@ -191,11 +190,11 @@ TEST(CacheConcurrencyTest, ConcurrentStatsReadersWhileLookingUp) {
   EXPECT_EQ(cache.stats().lookups, kRounds * kPages);
 }
 
-// --- Parallel gather. --------------------------------------------------
+// --- Concurrent gathers. -----------------------------------------------
 
 struct GatherRig {
   GatherRig(uint32_t dim, graph::NodeId nodes, uint64_t cache_lines,
-            uint32_t num_shards, ThreadPool* pool)
+            uint32_t num_shards)
       : fs(nodes, dim) {
     auto dev = std::make_unique<FunctionBlockDevice>(
         fs.num_pages(), fs.page_bytes(),
@@ -208,8 +207,7 @@ struct GatherRig {
         cache_lines * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
         /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer =
-        std::make_unique<FeatureGatherer>(&fs, bam.get(), nullptr, pool);
+    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
   }
 
   graph::FeatureStore fs;
@@ -232,51 +230,14 @@ std::vector<graph::NodeId> MixedNodeList(graph::NodeId num_nodes,
   return nodes;
 }
 
-// The determinism contract end to end: a pooled gather over a multi-shard
-// cache must produce byte-identical output AND identical cache/storage
-// counts to the serial gather, across multiple iterations so cache state
-// evolution matches too.
-TEST(GatherConcurrencyTest, ParallelMatchesSerialBitForBit) {
-  constexpr uint32_t kDim = 128;
-  constexpr graph::NodeId kNodes = 4096;
-  ThreadPool pool(8);
-  GatherRig serial(kDim, kNodes, /*cache_lines=*/64, /*num_shards=*/4,
-                   nullptr);
-  GatherRig parallel(kDim, kNodes, /*cache_lines=*/64, /*num_shards=*/4,
-                     &pool);
-
-  for (int iter = 0; iter < 10; ++iter) {
-    auto nodes = MixedNodeList(kNodes, 600, /*seed=*/1000 + iter);
-    FeatureGatherCounts sc, pc;
-    auto sout = serial.gatherer->Gather(nodes, &sc);
-    auto pout = parallel.gatherer->Gather(nodes, &pc);
-    ASSERT_TRUE(sout.ok());
-    ASSERT_TRUE(pout.ok());
-    ASSERT_EQ(*sout, *pout) << "iteration " << iter;
-    EXPECT_EQ(sc.nodes, pc.nodes);
-    EXPECT_EQ(sc.cpu_buffer_hits, pc.cpu_buffer_hits);
-    EXPECT_EQ(sc.gpu_cache_hits, pc.gpu_cache_hits);
-    EXPECT_EQ(sc.storage_reads, pc.storage_reads);
-    const CacheStats& ss = serial.cache->stats();
-    const CacheStats& ps = parallel.cache->stats();
-    EXPECT_EQ(ss.hits, ps.hits);
-    EXPECT_EQ(ss.misses, ps.misses);
-    EXPECT_EQ(ss.insertions, ps.insertions);
-    EXPECT_EQ(ss.evictions, ps.evictions);
-    EXPECT_EQ(ss.bypasses, ps.bypasses);
-    EXPECT_EQ(serial.array->total_reads(), parallel.array->total_reads());
-  }
-}
-
-// Concurrent Gather *calls* on one gatherer (the prefetch task and an
-// inline Next() never overlap in the loader, but the gatherer itself must
-// stay memory-safe if hammered): byte fidelity per call is preserved even
-// though counts interleave.
+// Concurrent Gather *calls* on one gatherer (the loader never overlaps
+// two gathers, but the gatherer itself must stay memory-safe if
+// hammered): byte fidelity per call is preserved even though counts
+// interleave.
 TEST(GatherConcurrencyTest, ConcurrentCallsStayByteCorrect) {
   constexpr uint32_t kDim = 64;
   constexpr graph::NodeId kNodes = 2048;
-  ThreadPool pool(4);
-  GatherRig rig(kDim, kNodes, /*cache_lines=*/32, /*num_shards=*/4, &pool);
+  GatherRig rig(kDim, kNodes, /*cache_lines=*/32, /*num_shards=*/4);
 
   constexpr int kCallers = 4;
   std::atomic<int> mismatches{0};
@@ -333,17 +294,16 @@ std::unique_ptr<StorageArray> ReceiptArray(const graph::FeatureStore& fs) {
 }
 
 // Runs a fixed sequence of two-slice GatherGroup calls through a gatherer
-// stack of its own (cache, BamArray, pool) over `array`, and returns each
+// stack of its own (cache, BamArray) over `array`, and returns each
 // call's receipt. `which` picks the node lists and the coalescing mode.
 std::vector<GatherReceipt> ReceiptSequence(const graph::FeatureStore& fs,
                                            StorageArray* array, int which) {
-  ThreadPool pool(2);
   SoftwareCache cache(/*capacity_bytes=*/32 * fs.page_bytes(),
                       fs.page_bytes(), fs.num_pages(),
                       /*seed=*/0xcac4e + which, /*store_payloads=*/true,
                       /*num_shards=*/4);
   BamArray bam(array, &cache);
-  FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr, &pool,
+  FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr,
                            /*coalesce_pages=*/which == 1);
   std::vector<GatherReceipt> receipts;
   for (uint64_t call = 0; call < 6; ++call) {

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/gids_loader.h"
 #include "graph/feature_store.h"
 #include "obs/metric_registry.h"
@@ -23,7 +22,7 @@ namespace {
 // so degraded-node counts can be predicted from page-level fault decisions.
 struct FaultRig {
   FaultRig(const FaultOptions& faults, const RetryPolicy& retry,
-           int n_ssd = 1, ThreadPool* pool = nullptr, uint32_t shards = 0)
+           int n_ssd = 1, uint32_t shards = 0)
       : fs(64, 1024) {
     auto dev = std::make_unique<FunctionBlockDevice>(
         fs.num_pages(), fs.page_bytes(),
@@ -37,8 +36,7 @@ struct FaultRig {
                                             0xcac4e, /*store_payloads=*/true,
                                             shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
-                                                 /*hot_buffer=*/nullptr, pool);
+    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
   }
 
   graph::FeatureStore fs;
@@ -230,9 +228,9 @@ TEST(FaultRetryTest, BackoffVirtualTimeIsReproducible) {
             static_cast<uint64_t>(rp.BackoffNs(0)));
 
   // Whole-run reproducibility: identical totals across two runs and across
-  // serial vs pooled gathers (decisions don't depend on thread count).
-  auto run = [&](ThreadPool* pool, uint32_t shards) {
-    FaultRig rig(fo, rp, 1, pool, shards);
+  // cache shard counts (decisions don't depend on the cache geometry).
+  auto run = [&](uint32_t shards) {
+    FaultRig rig(fo, rp, 1, shards);
     FeatureGatherCounts counts;
     auto nodes = AllNodes();
     GIDS_CHECK_OK(rig.gatherer->Gather(nodes, &counts).status());
@@ -240,11 +238,10 @@ TEST(FaultRetryTest, BackoffVirtualTimeIsReproducible) {
         rig.array->retry_backoff_ns_total(), rig.array->retries_total(),
         rig.array->timeouts_total(), counts.degraded_nodes);
   };
-  auto serial1 = run(nullptr, 0);
-  auto serial2 = run(nullptr, 0);
+  auto serial1 = run(0);
+  auto serial2 = run(0);
   EXPECT_EQ(serial1, serial2);
-  ThreadPool pool(4);
-  EXPECT_EQ(run(&pool, 4), serial1);
+  EXPECT_EQ(run(4), serial1);
 }
 
 // A gather's receipt bills exactly the reads its call issued: it matches

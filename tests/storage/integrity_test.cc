@@ -24,7 +24,7 @@ namespace {
 // so corrupt-node counts can be predicted from page-level decisions.
 struct IntegrityRig {
   IntegrityRig(const FaultOptions& faults, const RetryPolicy& retry,
-               const IntegrityOptions& integrity, ThreadPool* pool = nullptr)
+               const IntegrityOptions& integrity)
       : fs(64, 1024) {
     auto dev = std::make_unique<FunctionBlockDevice>(
         fs.num_pages(), fs.page_bytes(),
@@ -43,8 +43,7 @@ struct IntegrityRig {
                              integrity.verify_cache_hit);
     }
     bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
-                                                 /*hot_buffer=*/nullptr, pool);
+    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
   }
 
   graph::FeatureStore fs;

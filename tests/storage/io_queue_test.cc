@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 namespace gids::storage {
 namespace {
 
@@ -11,9 +9,10 @@ TEST(IoQueuePairTest, SubmitAndComplete) {
   IoQueuePair q(4);
   EXPECT_TRUE(q.Submit({.lba = 10, .tag = 1}).ok());
   EXPECT_EQ(q.outstanding(), 1u);
-  auto popped = q.PopSubmitted(10);
-  ASSERT_EQ(popped.size(), 1u);
-  EXPECT_EQ(popped[0].lba, 10u);
+  auto popped = q.PopOneSubmitted();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->lba, 10u);
+  EXPECT_FALSE(q.PopOneSubmitted().has_value());
   q.Complete(1);
   auto done = q.PollCompletion();
   ASSERT_TRUE(done.has_value());
@@ -33,7 +32,7 @@ TEST(IoQueuePairTest, FullQueueRejects) {
 TEST(IoQueuePairTest, DepthFreesAfterReap) {
   IoQueuePair q(1);
   ASSERT_TRUE(q.Submit({.lba = 0, .tag = 7}).ok());
-  q.PopSubmitted(1);
+  ASSERT_TRUE(q.PopOneSubmitted().has_value());
   q.Complete(7);
   EXPECT_TRUE(q.Full());  // still outstanding until reaped
   ASSERT_TRUE(q.PollCompletion().has_value());
@@ -42,32 +41,47 @@ TEST(IoQueuePairTest, DepthFreesAfterReap) {
 }
 
 TEST(IoQueuePairTest, PopRespectsMax) {
+  // Popping hands requests to the device in FIFO order but frees no
+  // admission slot: the queue still holds at most depth() outstanding
+  // requests until their completions are reaped.
   IoQueuePair q(8);
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(q.Submit({.lba = i, .tag = i}).ok());
   }
-  auto first = q.PopSubmitted(3);
-  EXPECT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].tag, 0u);
-  auto rest = q.PopSubmitted(10);
-  EXPECT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0].tag, 3u);
+  for (uint64_t i = 0; i < 3; ++i) {
+    auto popped = q.PopOneSubmitted();
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->tag, i);
+  }
+  EXPECT_EQ(q.outstanding(), 5u);
+  for (uint64_t i = 5; i < 8; ++i) {
+    ASSERT_TRUE(q.Submit({.lba = i, .tag = i}).ok());
+  }
+  EXPECT_EQ(q.Submit({.lba = 8, .tag = 8}).code(),
+            StatusCode::kResourceExhausted);
+  for (uint64_t i = 3; i < 8; ++i) {
+    auto popped = q.PopOneSubmitted();
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->tag, i);
+  }
+  EXPECT_FALSE(q.PopOneSubmitted().has_value());
 }
 
 TEST(IoQueuePairTest, PopAtExactDepthBoundary) {
-  // A queue filled to exactly depth_ must pop every entry whether max is
-  // the depth itself or far beyond the buffered count (the clamp is
-  // min(max, buffered), computed in size_t and narrowed explicitly).
+  // A queue filled to exactly depth_ pops every entry in order, then
+  // reports an empty submission queue.
   IoQueuePair q(4);
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(q.Submit({.lba = i, .tag = i}).ok());
   }
   ASSERT_TRUE(q.Full());
-  auto popped = q.PopSubmitted(4);
-  ASSERT_EQ(popped.size(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(popped[i].tag, i);
-  // Buffer drained: a huge max clamps to zero, not to garbage.
-  EXPECT_TRUE(q.PopSubmitted(std::numeric_limits<uint32_t>::max()).empty());
+  for (uint64_t i = 0; i < 4; ++i) {
+    auto popped = q.PopOneSubmitted();
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->tag, i);
+  }
+  EXPECT_FALSE(q.PopOneSubmitted().has_value());
+  EXPECT_TRUE(q.Full());  // popped, not yet reaped
 }
 
 TEST(IoQueuePairTest, PollOnEmptyCompletion) {
@@ -80,7 +94,8 @@ TEST(IoQueuePairTest, Counters) {
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(q.Submit({.lba = i, .tag = i}).ok());
   }
-  q.PopSubmitted(4);
+  while (q.PopOneSubmitted().has_value()) {
+  }
   for (uint64_t i = 0; i < 4; ++i) q.Complete(i);
   while (q.PollCompletion().has_value()) {
   }

@@ -43,9 +43,9 @@ TEST(QueueManagerTest, FullQueueRejectsWithoutAdvancingCursor) {
   // Drain the stuck command; the retry must land on queue 0 again — a
   // failed submission leaves the round-robin cursor where it was instead
   // of silently skipping to queue 1.
-  auto popped = qm.mutable_queue(0).PopSubmitted(1);
-  ASSERT_EQ(popped.size(), 1u);
-  qm.mutable_queue(0).Complete(popped[0].tag);
+  auto popped = qm.mutable_queue(0).PopOneSubmitted();
+  ASSERT_TRUE(popped.has_value());
+  qm.mutable_queue(0).Complete(popped->tag);
   ASSERT_TRUE(qm.mutable_queue(0).PollCompletion().has_value());
   ASSERT_TRUE(qm.RoundTrip(1).ok());
   EXPECT_EQ(qm.queue(0).total_submitted(), 2u);  // stuck fill + the retry
