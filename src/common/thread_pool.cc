@@ -45,12 +45,14 @@ void ThreadPool::Wait() {
 }
 
 ThreadPool::Batch ThreadPool::Launch(size_t n,
-                                     std::shared_ptr<ForState> state,
+                                     std::function<void(size_t)> fn,
                                      size_t joiner_chunks) {
   if (n == 0) return Batch();
   const size_t target_chunks =
       std::min(n, std::max<size_t>(1, workers_.size() * kChunksPerWorker));
+  auto state = std::make_shared<ForState>();
   state->pool = this;
+  state->each = std::move(fn);
   state->chunk_size = (n + target_chunks - 1) / target_chunks;
   state->num_chunks = (n + state->chunk_size - 1) / state->chunk_size;
   state->n = n;
@@ -67,22 +69,11 @@ ThreadPool::Batch ThreadPool::Launch(size_t n,
 
 ThreadPool::Batch ThreadPool::Start(size_t n,
                                     std::function<void(size_t)> fn) {
-  auto state = std::make_shared<ForState>();
-  state->each = std::move(fn);
-  return Launch(n, std::move(state), /*joiner_chunks=*/0);
+  return Launch(n, std::move(fn), /*joiner_chunks=*/0);
 }
 
 void ThreadPool::ParallelFor(size_t n, std::function<void(size_t)> fn) {
-  auto state = std::make_shared<ForState>();
-  state->each = std::move(fn);
-  Launch(n, std::move(state), /*joiner_chunks=*/1).Join();
-}
-
-void ThreadPool::ParallelForChunked(
-    size_t n, std::function<void(size_t begin, size_t end)> fn) {
-  auto state = std::make_shared<ForState>();
-  state->range = std::move(fn);
-  Launch(n, std::move(state), /*joiner_chunks=*/1).Join();
+  Launch(n, std::move(fn), /*joiner_chunks=*/1).Join();
 }
 
 void ThreadPool::RunChunks(ForState& state) {
@@ -92,11 +83,7 @@ void ThreadPool::RunChunks(ForState& state) {
     size_t begin = c * state.chunk_size;
     size_t end = std::min(state.n, begin + state.chunk_size);
     try {
-      if (state.range) {
-        state.range(begin, end);
-      } else {
-        for (size_t i = begin; i < end; ++i) state.each(i);
-      }
+      for (size_t i = begin; i < end; ++i) state.each(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(state.mu);
       if (state.error == nullptr) state.error = std::current_exception();

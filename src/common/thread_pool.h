@@ -17,9 +17,9 @@
 namespace gids {
 
 /// Fixed-size worker pool used by the CPU-side data-preparation pipeline
-/// (the GIDS loader's asynchronous sample batches and iteration prefetch,
-/// the scrubber's per-shard sweep, serving's per-batch sampling, and the
-/// parallel R-MAT generator).
+/// (the GIDS loader's asynchronous sample batches, the scrubber's
+/// per-shard sweep, serving's per-batch sampling, and the parallel R-MAT
+/// generator).
 ///
 /// Concurrency contract:
 ///  - Submit/Wait: fire-and-forget tasks. The first exception thrown by a
@@ -31,10 +31,9 @@ namespace gids {
 ///    joining thread, waits for the claimed ones, and rethrows the first
 ///    exception the body threw. Because the joiner helps, joining inside a
 ///    task that runs on this very pool cannot deadlock, even when that task
-///    occupies the pool's only worker (the loader's prefetch task joins its
-///    own sample batches).
-///  - ParallelFor/ParallelForChunked: start and join at once, with one
-///    helper fewer than Start() (the caller claims a chunk right away).
+///    occupies the pool's only worker.
+///  - ParallelFor: starts and joins at once, with one helper fewer than
+///    Start() (the caller claims a chunk right away).
 ///  - Dynamic chunking: ranges are split into more chunks than workers
 ///    (kChunksPerWorker per thread), so a skewed chunk does not straggle
 ///    the whole batch.
@@ -66,12 +65,6 @@ class ThreadPool {
   /// waits for completion. Rethrows the first exception thrown by fn.
   void ParallelFor(size_t n, std::function<void(size_t)> fn);
 
-  /// Runs fn(begin, end) over dynamically claimed chunks of [0, n) (caller
-  /// included) and waits for completion. Rethrows the first exception
-  /// thrown by fn.
-  void ParallelForChunked(
-      size_t n, std::function<void(size_t begin, size_t end)> fn);
-
   // --- Introspection (lock-free; feed the obs gauges, see
   // obs::BindThreadPoolMetrics).
 
@@ -99,9 +92,7 @@ class ThreadPool {
  private:
   struct ForState {
     ThreadPool* pool = nullptr;
-    // Exactly one body is set: per index, or per chunk.
     std::function<void(size_t)> each;
-    std::function<void(size_t, size_t)> range;
     std::atomic<size_t> next_chunk{0};
     std::atomic<size_t> chunks_done{0};
     size_t num_chunks = 0;
@@ -113,10 +104,10 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  /// Chunks [0, n) for `state`'s body and submits one helper task per
-  /// chunk, up to the worker count, except for the `joiner_chunks` (0 or
-  /// 1) the caller claims by joining at once.
-  Batch Launch(size_t n, std::shared_ptr<ForState> state,
+  /// Chunks [0, n) for `fn` and submits one helper task per chunk, up to
+  /// the worker count, except for the `joiner_chunks` (0 or 1) the caller
+  /// claims by joining at once.
+  Batch Launch(size_t n, std::function<void(size_t)> fn,
                size_t joiner_chunks);
   /// Claims and runs chunks until none is left unclaimed.
   static void RunChunks(ForState& state);

@@ -17,6 +17,9 @@ Status GidsOptions::Validate(int n_ssd) const {
     return Status::InvalidArgument(msg);
   };
   if (window_depth < 0) return bad("window_depth must be >= 0");
+  if (prefetch_depth != 0) {
+    return bad("prefetch_depth was removed; it must be 0");
+  }
   if (max_merged_iterations < 1) {
     return bad("max_merged_iterations must be >= 1");
   }
@@ -126,9 +129,8 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   }
   bam_ = std::make_unique<storage::BamArray>(storage_.get(), cache_.get());
 
-  if (options_.host_threads > 1 || options_.prefetch_depth > 0) {
-    pool_ = std::make_unique<ThreadPool>(
-        std::max<uint32_t>(1, options_.host_threads));
+  if (options_.host_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.host_threads);
   }
 
   // Seed an owned presample policy: its pass runs even without a CPU
@@ -260,28 +262,15 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
 }
 
 GidsLoader::~GidsLoader() {
-  {
-    std::lock_guard<std::mutex> lock(stage_mu_);
-    stopping_ = true;
-  }
-  if (pool_ != nullptr) {
-    // Drain the prefetch task before members it touches are destroyed.
-    try {
-      pool_->Wait();
-    } catch (...) {
-      // A throwing prefetch already surfaced (or will never be consumed);
-      // destruction must not rethrow.
-    }
-    // Then the sample batch it or Next() left in flight (an exception it
-    // holds is a CHECK failure).
-    ahead_.job = ThreadPool::Batch();
-  }
+  // Join the sample batch Next() left in flight before the members it
+  // writes are destroyed (an exception it holds is a CHECK failure).
+  ahead_.job = ThreadPool::Batch();
   if (options_.metrics != nullptr && observer_ != nullptr) {
     // The registry outlives the loader, but the pull-style callbacks bound
     // above read members that are about to be destroyed (including the
-    // drained-but-live thread pool). Materialize their final values so a
-    // post-destruction Snapshot() reads frozen numbers instead of calling
-    // through dangling pointers.
+    // thread pool). Materialize their final values so a post-destruction
+    // Snapshot() reads frozen numbers instead of calling through dangling
+    // pointers.
     options_.metrics->UnbindAll(observer_->labels());
   }
   // Freeze before the pool they read is destroyed (UnbindAll above already
@@ -297,7 +286,6 @@ void GidsLoader::Recycle(loaders::LoaderBatch&& batch) {
   constexpr size_t kMaxBanked = 256;
   batch.batch.Reset();
   batch.features.clear();
-  std::lock_guard<std::mutex> lock(recycle_mu_);
   if (batch_free_.size() < kMaxBanked) {
     batch_free_.push_back(std::move(batch.batch));
   }
@@ -315,14 +303,11 @@ GidsLoader::Pending GidsLoader::NextPending() {
     pending_free_.pop_back();
     p.registered = false;
   }
-  if (p.batch.blocks.empty()) {
+  if (p.batch.blocks.empty() && !batch_free_.empty()) {
     // A parked Pending's batch was moved into a LoaderBatch; its block
     // storage comes back through Recycle().
-    std::lock_guard<std::mutex> lock(recycle_mu_);
-    if (!batch_free_.empty()) {
-      p.batch = std::move(batch_free_.back());
-      batch_free_.pop_back();
-    }
+    p.batch = std::move(batch_free_.back());
+    batch_free_.pop_back();
   }
   p.iteration = next_sample_iteration_++;
   seeds_->NextBatchInto(p.seeds);
@@ -369,7 +354,7 @@ void GidsLoader::EnsureSampledAhead(size_t count) {
     }
     JoinSampleBatch();
   }
-  AtomicFetchMax(peak_lookahead_, pending_.size());
+  peak_lookahead_ = std::max(peak_lookahead_, pending_.size());
 }
 
 void GidsLoader::LaunchSampleBatch(size_t group, size_t lookahead) {
@@ -385,7 +370,8 @@ void GidsLoader::LaunchSampleBatch(size_t group, size_t lookahead) {
   // rarely has one left to sample itself.
   const size_t batch = pool_->num_threads();
   for (size_t i = 0; i < batch; ++i) ahead_.items.push_back(NextPending());
-  AtomicFetchMax(peak_lookahead_, pending_.size() + ahead_.items.size());
+  peak_lookahead_ =
+      std::max(peak_lookahead_, pending_.size() + ahead_.items.size());
   // items is not resized until the join, so the tasks' references hold.
   ahead_.job = pool_->Start(
       batch, [this](size_t i) { SampleOne(ahead_.items[i]); });
@@ -458,10 +444,10 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // --- Journaled write path (FAULTS.md "Durability & failover"): before
   // the group's gathers, drive the mutation stream one group forward —
   // crash/recover/resubmit at the configured group boundary, then
-  // submit -> sync -> apply. Runs inside the single-flight preparation,
-  // so the journal's entire history is a pure function of the group
-  // prefix and the seeds, and gathers always see an exact LSN-prefix of
-  // the mutation stream.
+  // submit -> sync -> apply. Runs inside the group preparation, so the
+  // journal's entire history is a pure function of the group prefix and
+  // the seeds, and gathers always see an exact LSN-prefix of the
+  // mutation stream.
   TimeNs group_mutation_ns = 0;
   if (mutations_ != nullptr) {
     const uint64_t mut_ns_before =
@@ -508,7 +494,6 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // Rebuild each batch's feature storage from the recycle bank (its
   // capacity survives the round trip through the consumer).
   if (!options_.counting_mode) {
-    std::lock_guard<std::mutex> lock(recycle_mu_);
     for (size_t i = 0; i < group && !features_free_.empty(); ++i) {
       group_batches[i].features = std::move(features_free_.back());
       features_free_.pop_back();
@@ -530,8 +515,8 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
 
   // kPresample live re-ranking: fold the group's batch composition into
   // the cumulative frequency table and re-ingest on the configured
-  // cadence. Single-flight (like everything in this function), so the
-  // re-rank points are deterministic at any host_threads/prefetch_depth.
+  // cadence. Group-scoped (like everything in this function), so the
+  // re-rank points are deterministic at any host_threads.
   if (presample_live_rerank_) {
     live_freq_.resize(dataset_->graph.num_nodes());
     for (size_t i = 0; i < group; ++i) {
@@ -642,9 +627,9 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // --- Background scrubber (INTEGRITY.md): between iterations, walk a
   // budget of resident cache lines (and pinned CPU-buffer rows) and
   // re-verify their checksums, quarantining any line that rotted while
-  // resident. Runs inside the single-flight group preparation, so sweep
-  // order — and therefore every quarantine decision — is deterministic at
-  // any host_threads value. The sweep overlaps training in wall time and
+  // resident. Runs inside the group preparation, so sweep order — and
+  // therefore every quarantine decision — is deterministic at any
+  // host_threads value. The sweep overlaps training in wall time and
   // is accounted separately in virtual time (it does not extend e2e).
   if (options_.scrub_pages_per_iter > 0) {
     const uint64_t quota =
@@ -696,10 +681,9 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
     window_depth_gauge_->Set(static_cast<double>(resolved_window_depth_));
   }
   if (observer_ != nullptr && observer_->trace() != nullptr) {
-    std::lock_guard<std::mutex> obs_lock(obs_mu_);
-    // Groups are prepared in consumption order (preparation is
-    // single-flight), so the observer's clock sits at the virtual-time
-    // start of this group's first unconsumed iteration.
+    // Groups are prepared in consumption order, each once its predecessor
+    // is consumed, so the observer's clock sits at the virtual-time start
+    // of this group's first iteration.
     observer_->Instant(
         "accumulator_group_flush",
         {{"merged_iterations", static_cast<double>(group)},
@@ -728,81 +712,17 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   return group_batches;
 }
 
-void GidsLoader::MaybeLaunchPrefetch() {
-  if (options_.prefetch_depth == 0 || pool_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(stage_mu_);
-  if (prefetch_running_ || stopping_) return;
-  if (!prefetch_status_.ok()) return;
-  if (staged_.size() >= options_.prefetch_depth) return;
-  prefetch_running_ = true;
-  pool_->Submit([this] { PrefetchTask(); });
-}
-
-void GidsLoader::PrefetchTask() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(stage_mu_);
-      if (stopping_) {
-        prefetch_running_ = false;
-        stage_cv_.notify_all();
-        return;
-      }
-    }
-    auto result = PrepareGroupBatches();
-    std::lock_guard<std::mutex> lock(stage_mu_);
-    if (!result.ok()) {
-      prefetch_status_ = result.status();
-      prefetch_running_ = false;
-      stage_cv_.notify_all();
-      return;
-    }
-    staged_.push_back(std::move(*result));
-    bool more = staged_.size() < options_.prefetch_depth && !stopping_;
-    if (!more) prefetch_running_ = false;
-    stage_cv_.notify_all();
-    if (!more) return;
-  }
-}
-
 StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
   if (ready_.empty()) {
-    {
-      std::unique_lock<std::mutex> lock(stage_mu_);
-      if (prefetch_running_ || !staged_.empty()) {
-        stage_cv_.wait(lock, [this] {
-          return !staged_.empty() || !prefetch_running_;
-        });
-      }
-      if (!staged_.empty()) {
-        for (loaders::LoaderBatch& lb : staged_.front()) {
-          ready_.push_back(std::move(lb));
-        }
-        staged_.pop_front();
-      } else if (!prefetch_status_.ok()) {
-        Status s = prefetch_status_;
-        prefetch_status_ = Status::OK();
-        return s;
-      }
-    }
-    if (ready_.empty()) {
-      // No prefetch in flight (checked above), so inline preparation is
-      // exclusive.
-      auto group = PrepareGroupBatches();
-      GIDS_RETURN_IF_ERROR(group.status());
-      for (loaders::LoaderBatch& lb : *group) {
-        ready_.push_back(std::move(lb));
-      }
-    }
+    auto group = PrepareGroupBatches();
+    GIDS_RETURN_IF_ERROR(group.status());
+    for (loaders::LoaderBatch& lb : *group) ready_.push_back(std::move(lb));
   }
-  MaybeLaunchPrefetch();
   loaders::LoaderBatch out = std::move(ready_.front());
   ready_.pop_front();
   elapsed_ns_ += out.stats.e2e_ns;
   ++iterations_;
-  if (observer_ != nullptr) {
-    std::lock_guard<std::mutex> obs_lock(obs_mu_);
-    observer_->RecordIteration(out.stats);
-  }
+  if (observer_ != nullptr) observer_->RecordIteration(out.stats);
   return out;
 }
 

@@ -2,10 +2,8 @@
 #define GIDS_CORE_GIDS_LOADER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,8 +88,8 @@ struct GidsOptions : storage::FaultOptions,
   /// Re-rank cadence for kPresample: every N prepared accumulator groups
   /// the loader re-ingests cumulative observed node frequencies
   /// (presample counts + live batch composition) so the policy tracks
-  /// drift. 0 disables live re-ranking. Group-scoped and single-flight,
-  /// so re-ranking is deterministic at any host_threads/prefetch_depth.
+  /// drift. 0 disables live re-ranking. Group-scoped, so re-ranking is
+  /// deterministic at any host_threads.
   uint32_t presample_rerank_groups = 0;
 
   /// IO queue-pair geometry (BaM defaults). The aggregate depth caps the
@@ -118,10 +116,9 @@ struct GidsOptions : storage::FaultOptions,
   /// values (see DESIGN.md "Host parallelism").
   uint32_t host_threads = 1;
 
-  /// Accumulator groups to prepare asynchronously ahead of consumption
-  /// (double buffering: iteration i trains while group i+1 is prepared by
-  /// a task on the pool). 0 prepares groups inline in Next(). Any
-  /// nonzero value creates the host pool even with host_threads == 1.
+  /// Removed: the asynchronous group prefetch is gone, and Next() always
+  /// prepares groups on the calling thread. Validate() rejects any value
+  /// but 0; the field stays only so code that sets it to 0 still builds.
   uint32_t prefetch_depth = 0;
 
   /// Software-cache shard count override; 0 uses the automatic policy
@@ -219,15 +216,16 @@ class GidsLoader : public loaders::DataLoader {
   ~GidsLoader() override;
 
   std::string_view name() const override { return options_.display_name; }
-  /// The next iteration. With a pool and a concurrent-safe sampler, the
-  /// pool may still be sampling look-ahead iterations when Next() returns
-  /// (and a prefetch task preparing groups, with prefetch_depth > 0):
-  /// sampler calls overlap the caller's work until a later Next() joins
-  /// the batch or the loader is destroyed (Sampler::concurrent_safe).
+  /// The next iteration; groups are prepared here, on the calling thread.
+  /// Next() and Recycle() are called from one thread. With a pool and a
+  /// concurrent-safe sampler, the pool may still be sampling look-ahead
+  /// iterations when Next() returns: sampler calls overlap the caller's
+  /// work until a later Next() joins the batch or the loader is destroyed
+  /// (Sampler::concurrent_safe).
   StatusOr<loaders::LoaderBatch> Next() override;
   /// Banks the consumed batch's seed/block/feature storage for reuse by a
-  /// later iteration (the zero-allocation loop, DESIGN.md §11). Safe to
-  /// call from the consumer thread while a prefetch task prepares groups.
+  /// later iteration (the zero-allocation loop, DESIGN.md §11). Call it
+  /// from the thread that calls Next().
   void Recycle(loaders::LoaderBatch&& batch) override;
   TimeNs elapsed_ns() const override { return elapsed_ns_; }
   uint64_t iterations() const override { return iterations_; }
@@ -244,14 +242,13 @@ class GidsLoader : public loaders::DataLoader {
   const storage::StorageArray& storage_array() const { return *storage_; }
   /// The journaled mutation stream (null when no mutations are set).
   const MutationStream* mutation_stream() const { return mutations_.get(); }
-  /// The host data-preparation pool (null when host_threads == 1 and
-  /// prefetch is off).
+  /// The host data-preparation pool (null when host_threads == 1). Its
+  /// workers sample look-ahead iterations and sweep scrub shards for the
+  /// one thread that calls Next() and Recycle().
   const ThreadPool* host_pool() const { return pool_.get(); }
   /// The most sampled iterations that were ever pending or in flight at
   /// once: at most group + window depth + pool threads + 1.
-  size_t peak_lookahead() const {
-    return peak_lookahead_.load(std::memory_order_relaxed);
-  }
+  size_t peak_lookahead() const { return peak_lookahead_; }
 
  private:
   /// One look-ahead iteration: drawn seeds, and once sampled its batch.
@@ -294,15 +291,9 @@ class GidsLoader : public loaders::DataLoader {
   void LaunchSampleBatch(size_t group, size_t lookahead);
   /// Registers every pending batch in [0, count) with the window buffer.
   void RegisterWindow(size_t count);
-  /// Prepares the next accumulator group. Never runs concurrently with
-  /// itself: Next() runs it inline only while no prefetch is in flight,
-  /// and the prefetch task is single-flight.
+  /// Prepares the next accumulator group; Next() calls it on the calling
+  /// thread whenever its ready queue is empty.
   StatusOr<std::vector<loaders::LoaderBatch>> PrepareGroupBatches();
-  /// Launches the prefetch task if prefetching is on, none is running,
-  /// and the staging buffer has room.
-  void MaybeLaunchPrefetch();
-  /// Pool task: prepares groups until the staging buffer is full.
-  void PrefetchTask();
 
   const graph::Dataset* dataset_;
   sampling::Sampler* sampler_;
@@ -323,24 +314,17 @@ class GidsLoader : public loaders::DataLoader {
 
   std::deque<Pending> pending_;
   SampleBatch ahead_;
-  /// Atomic because the prefetch task updates it while the consumer
-  /// thread may read it.
-  std::atomic<uint64_t> peak_lookahead_{0};
+  size_t peak_lookahead_ = 0;
   std::deque<loaders::LoaderBatch> ready_;
   /// Consumed Pendings parked for reuse: their seeds vector and MiniBatch
-  /// blocks keep their capacity across iterations. Touched only by the
-  /// single-flight group preparation, so no lock.
+  /// blocks keep their capacity across iterations.
   std::vector<Pending> pending_free_;
-  /// Recycle() deposits; group preparation withdraws. Guarded by
-  /// recycle_mu_ because the consumer thread recycles while the prefetch
-  /// task prepares.
-  std::mutex recycle_mu_;
+  /// Recycle() deposits; group preparation withdraws.
   std::vector<sampling::MiniBatch> batch_free_;
   std::vector<std::vector<float>> features_free_;
 
-  // Group-preparation scratch, reused across calls (single-flight, like
-  // the gatherer's members): pool-backed so steady-state groups allocate
-  // nothing.
+  // Group-preparation scratch, reused across calls: pool-backed so
+  // steady-state groups allocate nothing.
   Workspace<storage::GatherSlice> gather_slices_;
   Workspace<storage::FeatureGatherCounts> slice_counts_;
   Workspace<storage::SoftwareCache::ScrubResult> scrub_results_;
@@ -348,7 +332,6 @@ class GidsLoader : public loaders::DataLoader {
   // Live re-rank state for kPresample (presample_rerank_groups > 0):
   // cumulative observed node frequencies (presample counts + every
   // consumed batch's input-node composition) and the group countdown.
-  // Touched only by the single-flight group preparation.
   Workspace<uint64_t> live_freq_;
   uint64_t groups_since_rerank_ = 0;
   bool presample_live_rerank_ = false;
@@ -358,10 +341,9 @@ class GidsLoader : public loaders::DataLoader {
   TimeNs elapsed_ns_ = 0;
   uint64_t iterations_ = 0;
 
-  // Durability & replication (FAULTS.md "Durability & failover"). All
-  // touched only by the single-flight group preparation, except the
-  // storage array's virtual clock (atomic, advanced at prep start so
-  // offline_at_ns onsets are a pure function of groups prepared).
+  // Durability & replication (FAULTS.md "Durability & failover"). The
+  // storage array's virtual clock is advanced at prep start, so
+  // offline_at_ns onsets are a pure function of groups prepared.
   std::unique_ptr<MutationStream> mutations_;
   /// Sum of the e2e_ns of every group prepared so far — the loader-clock
   /// instant the NEXT group preparation starts at.
@@ -372,30 +354,18 @@ class GidsLoader : public loaders::DataLoader {
   uint64_t mutations_through_iter_ = 0;
   bool crash_done_ = false;
 
-  // Prefetch hand-off: the pool task pushes prepared groups into staged_;
-  // Next() drains them. stage_mu_ guards everything in this block.
-  std::mutex stage_mu_;
-  std::condition_variable stage_cv_;
-  std::deque<std::vector<loaders::LoaderBatch>> staged_;
-  Status prefetch_status_ = Status::OK();
-  bool prefetch_running_ = false;
-  bool stopping_ = false;
-
-  // Observability (all unset unless options_.metrics / options_.trace).
-  // LoaderObserver is not thread-safe; obs_mu_ serializes the consumer
-  // thread's RecordIteration against the prefetch task's Instant calls.
-  // Background-scrubber accounting (INTEGRITY.md). Atomic because the
-  // prefetch task scrubs while the consumer thread may snapshot metrics.
+  // Background-scrubber accounting (INTEGRITY.md). Atomic because metric
+  // callbacks read them, and a registry may be snapshotted on any thread.
   std::atomic<uint64_t> scrub_pages_total_{0};
   std::atomic<uint64_t> scrub_errors_total_{0};
   std::atomic<uint64_t> scrub_ns_total_{0};
 
   // Page-coalescing accounting (DESIGN.md §10), accumulated per prepared
-  // group. Atomic for the same prefetch-vs-snapshot reason as above.
+  // group. Atomic for the same reason as the scrub counters.
   std::atomic<uint64_t> gather_coalesced_total_{0};
   std::atomic<uint64_t> gather_requests_total_{0};
 
-  std::mutex obs_mu_;
+  // Observability (all unset unless options_.metrics / options_.trace).
   std::unique_ptr<loaders::LoaderObserver> observer_;
   // Pull-metric lifetimes (OBSERVABILITY.md): destroying these freezes the
   // thread-pool / workspace-pool gauges to their final values even when

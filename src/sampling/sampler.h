@@ -11,7 +11,7 @@
 namespace gids::sampling {
 
 /// Interface shared by the sampling strategies (uniform neighborhood
-/// sampling, LADIES layer-wise sampling, hetero and Cluster-GCN variants).
+/// sampling, LADIES layer-wise sampling, and Cluster-GCN).
 /// Samplers are deterministic in their construction seed; the same seed
 /// and seed-node sequence yields the same mini-batches regardless of which
 /// dataloader drives them, which is what makes cross-dataloader

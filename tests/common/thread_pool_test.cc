@@ -35,15 +35,6 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForChunkedCoversRangeOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> touched(100);
-  pool.ParallelForChunked(100, [&touched](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
 TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
@@ -119,16 +110,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsBodyException) {
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(ThreadPoolTest, ParallelForChunkedRethrowsBodyException) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.ParallelForChunked(
-                   50,
-                   [](size_t begin, size_t) {
-                     if (begin == 0) throw std::runtime_error("chunk boom");
-                   }),
-               std::runtime_error);
-}
-
 // Dynamic chunking: a range much larger than the worker count must be
 // split into multiple chunks per worker so a slow chunk cannot straggle
 // the whole batch.
@@ -150,10 +131,9 @@ TEST(ThreadPoolTest, ParallelForTinyRangeCoversAll) {
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-// Regression: the GIDS prefetch task runs on the pool and starts and
-// joins batches on the *same* pool for sampling and scrubbing. Joiner
-// participation means this cannot deadlock even when every worker is
-// occupied by the outer task.
+// A task running on the pool may start and join a batch on the *same*
+// pool. Joiner participation means this cannot deadlock even when every
+// worker is occupied by an outer task.
 TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
@@ -251,12 +231,9 @@ TEST(ThreadPoolTest, ParallelForQueuesOneHelperFewerThanStart) {
   pool.ParallelFor(3, [](size_t) {});
   pool.Wait();
   EXPECT_EQ(pool.tasks_executed() - before, 2u);
-  pool.ParallelForChunked(3, [](size_t, size_t) {});
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_executed() - before, 4u);
   pool.Start(3, [](size_t) {}).Join();
   pool.Wait();
-  EXPECT_EQ(pool.tasks_executed() - before, 7u);
+  EXPECT_EQ(pool.tasks_executed() - before, 5u);
 }
 
 TEST(ThreadPoolTest, IntrospectionCountersAdvance) {

@@ -257,6 +257,8 @@ TEST(GidsOptionsTest, ValidateRejectsEachBadField) {
       {"no merged iterations", 1,
        [](GidsOptions& o) { o.max_merged_iterations = 0; },
        "max_merged_iterations"},
+      {"removed group prefetch", 1,
+       [](GidsOptions& o) { o.prefetch_depth = 1; }, "prefetch_depth"},
   };
   for (const Row& row : rows) {
     GidsOptions o;

@@ -1,16 +1,9 @@
 // The host-parallelism determinism contract (DESIGN.md "Host
 // parallelism"): the GIDS and BaM loaders must produce byte-identical
-// mini-batches, features, and per-iteration stats at every host_threads /
-// prefetch_depth setting, and — when no prefetch is in flight — identical
-// end-of-run cache and storage totals too. Also the loader's lifecycle
-// with a look-ahead sample batch in flight on the pool, and its recovery
-// from a sampler exception.
-//
-// The prefetch caveat: with prefetch_depth > 0 the background task may
-// have prepared groups beyond what the consumer drained, so END-OF-RUN
-// cache/storage totals legitimately depend on timing. Per-iteration
-// results are still exact (groups are prepared in consumption order,
-// single-flight), so those are compared in every mode.
+// mini-batches, features, per-iteration stats, and end-of-run cache and
+// storage totals at every host_threads setting. Also the loader's
+// lifecycle with a look-ahead sample batch in flight on the pool, and its
+// recovery from a sampler exception.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,7 +67,6 @@ class CheckedSampler : public sampling::Sampler {
 struct RunConfig {
   bool bam = false;
   uint32_t host_threads = 1;
-  uint32_t prefetch_depth = 0;
   int window_depth = 8;
   bool auto_window_depth = false;
   /// On this rig 0.95 merges two or three iterations per group, and 0.5
@@ -86,11 +78,20 @@ struct RunConfig {
 GidsOptions MakeOptions(const RunConfig& cfg) {
   GidsOptions opts = cfg.bam ? GidsOptions::Bam() : GidsOptions{};
   opts.host_threads = cfg.host_threads;
-  opts.prefetch_depth = cfg.prefetch_depth;
   opts.window_depth = cfg.window_depth;
   opts.auto_window_depth = cfg.auto_window_depth;
   opts.accumulator_target = cfg.accumulator_target;
   return opts;
+}
+
+/// Records `loader`'s end-of-run state next to the iterations in `cap`.
+void CaptureTotals(const GidsLoader& loader, RunCapture* cap) {
+  cap->cache_stats = loader.cache().stats();
+  cap->storage_reads = loader.storage_array().total_reads();
+  cap->queue_submissions =
+      loader.storage_array().queues().total_submissions();
+  cap->peak_lookahead = loader.peak_lookahead();
+  cap->window_depth = loader.window_depth();
 }
 
 RunCapture RunLoader(const RunConfig& cfg, int num_iterations) {
@@ -106,21 +107,8 @@ RunCapture RunLoader(const RunConfig& cfg, int num_iterations) {
     GIDS_CHECK(lb.ok());
     cap.iterations.push_back(std::move(*lb));
   }
-  cap.cache_stats = loader.cache().stats();
-  cap.storage_reads = loader.storage_array().total_reads();
-  cap.queue_submissions = loader.storage_array().queues().total_submissions();
-  cap.peak_lookahead = loader.peak_lookahead();
-  cap.window_depth = loader.window_depth();
+  CaptureTotals(loader, &cap);
   return cap;
-}
-
-RunCapture RunLoader(bool bam, uint32_t host_threads, uint32_t prefetch_depth,
-                     int num_iterations) {
-  RunConfig cfg;
-  cfg.bam = bam;
-  cfg.host_threads = host_threads;
-  cfg.prefetch_depth = prefetch_depth;
-  return RunLoader(cfg, num_iterations);
 }
 
 void ExpectBatchesEqual(const sampling::MiniBatch& a,
@@ -194,10 +182,10 @@ uint32_t MaxGroup(const RunCapture& cap) {
 
 // Every host_threads against the one-thread run, across window depths
 // (none, the paper's 8, automatic) and accumulator groups of one and of
-// several iterations. Without prefetch exactly the consumed groups were
-// prepared, so the end-of-run totals are part of the contract too; and
-// the look-ahead never holds more than group + window + threads + 1
-// iterations, pending or in flight.
+// several iterations. Exactly the consumed groups are prepared, so the
+// end-of-run totals are part of the contract too; and the look-ahead
+// never holds more than group + window + threads + 1 iterations, pending
+// or in flight.
 TEST(HostParallelDeterminismTest, GidsThreadsDoNotChangeResults) {
   struct Shape {
     int window_depth;
@@ -266,27 +254,21 @@ class SlowSampler : public sampling::Sampler {
 };
 
 // Destroying a loader while the pool is still sampling its look-ahead
-// batch joins the batch first: clean under ASan and TSan, inline or with
-// the prefetch task running at host_threads 1 (where that task holds the
-// pool's only worker).
+// batch joins the batch first: clean under ASan and TSan.
 TEST(HostParallelDeterminismTest, DestroyWithSampleBatchInFlight) {
-  for (uint32_t prefetch : {0u, 1u}) {
-    for (uint32_t threads : {1u, 4u}) {
-      if (prefetch == 0 && threads == 1) continue;  // no pool
-      LoaderRig rig;
-      GidsOptions opts = GidsOptions::Bam();  // one iteration per group
-      opts.use_window_buffering = true;
-      opts.host_threads = threads;
-      opts.prefetch_depth = prefetch;
-      // The first group needs window + 1 iterations; later calls sleep.
-      SlowSampler sampler(rig.sampler.get(), opts.window_depth + 1);
-      auto loader = std::make_unique<GidsLoader>(
-          rig.dataset.get(), &sampler, rig.seeds.get(), rig.system.get(),
-          opts);
-      auto lb = loader->Next();
-      ASSERT_TRUE(lb.ok());
-      loader.reset();
-    }
+  for (uint32_t threads : {2u, 4u}) {
+    LoaderRig rig;
+    GidsOptions opts = GidsOptions::Bam();  // one iteration per group
+    opts.use_window_buffering = true;
+    opts.host_threads = threads;
+    // The first group needs window + 1 iterations; later calls sleep.
+    SlowSampler sampler(rig.sampler.get(), opts.window_depth + 1);
+    auto loader = std::make_unique<GidsLoader>(
+        rig.dataset.get(), &sampler, rig.seeds.get(), rig.system.get(),
+        opts);
+    auto lb = loader->Next();
+    ASSERT_TRUE(lb.ok());
+    loader.reset();
   }
 }
 
@@ -316,7 +298,7 @@ class ThrowOnceSampler : public sampling::Sampler {
 // A sampler exception propagates out of Next(), whether the caller or a
 // sample batch on the pool hit it, and every iteration it may have left
 // half-sampled is sampled again: the next Next() carries on as if the
-// failed call had never happened.
+// failed call had never happened, down to the end-of-run totals.
 TEST(HostParallelDeterminismTest, SamplerExceptionIsRetried) {
   RunConfig cfg;
   const RunCapture reference = RunLoader(cfg, kIterations);
@@ -343,37 +325,20 @@ TEST(HostParallelDeterminismTest, SamplerExceptionIsRetried) {
       }
     }
     EXPECT_EQ(failures, 1);
+    CaptureTotals(loader, &cap);
     ExpectPerIterationEqual(reference, cap);
+    ExpectTotalsEqual(reference, cap);
   }
 }
 
 TEST(HostParallelDeterminismTest, BamThreadsDoNotChangeResults) {
-  RunCapture serial = RunLoader(/*bam=*/true, /*host_threads=*/1,
-                                /*prefetch_depth=*/0, kIterations);
-  RunCapture threaded = RunLoader(/*bam=*/true, /*host_threads=*/8,
-                                  /*prefetch_depth=*/0, kIterations);
+  RunConfig cfg;
+  cfg.bam = true;
+  RunCapture serial = RunLoader(cfg, kIterations);
+  cfg.host_threads = 8;
+  RunCapture threaded = RunLoader(cfg, kIterations);
   ExpectPerIterationEqual(serial, threaded);
   ExpectTotalsEqual(serial, threaded);
-}
-
-TEST(HostParallelDeterminismTest, PrefetchDoesNotChangePerIterationResults) {
-  RunCapture inline_prep = RunLoader(/*bam=*/false, /*host_threads=*/1,
-                                     /*prefetch_depth=*/0, kIterations);
-  for (uint32_t threads : {1u, 8u}) {
-    RunCapture prefetched = RunLoader(/*bam=*/false, threads,
-                                      /*prefetch_depth=*/1, kIterations);
-    ExpectPerIterationEqual(inline_prep, prefetched);
-    // End-of-run totals are deliberately NOT compared here: the prefetch
-    // task may have prepared groups the consumer never drained.
-  }
-}
-
-TEST(HostParallelDeterminismTest, PrefetchBamMatchesInline) {
-  RunCapture inline_prep = RunLoader(/*bam=*/true, /*host_threads=*/1,
-                                     /*prefetch_depth=*/0, kIterations);
-  RunCapture prefetched = RunLoader(/*bam=*/true, /*host_threads=*/8,
-                                    /*prefetch_depth=*/2, kIterations);
-  ExpectPerIterationEqual(inline_prep, prefetched);
 }
 
 TEST(HostParallelDeterminismTest, PoolOnlyCreatedWhenRequested) {

@@ -328,8 +328,8 @@ TEST(LedgerSinkTest, SnapshotAfterLoaderDestructionReadsFrozenValues) {
   // Loader (and its cache/pool/storage components) destroyed: snapshots
   // must neither crash nor drift — every pull-style series now reads its
   // frozen destruction-time value. (Pool gauges may differ from the
-  // mid-run `live` reading: background prefetch work drains before the
-  // freeze. Owned counters must match exactly.)
+  // mid-run `live` reading: the look-ahead sample batch drains before
+  // the freeze. Owned counters must match exactly.)
   std::vector<obs::MetricSnapshot> frozen = metrics.Snapshot();
   std::vector<obs::MetricSnapshot> again = metrics.Snapshot();
   ASSERT_EQ(frozen.size(), live.size());

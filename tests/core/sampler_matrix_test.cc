@@ -1,16 +1,15 @@
 // Integration matrix: the GIDS dataloader driven by every sampling
-// strategy the library provides (neighborhood, LADIES, heterogeneous
-// per-type, Cluster-GCN). For each combination the gathered feature bytes
-// must match the feature store's ground truth and the per-iteration stats
-// must satisfy the conservation invariants — the dataloader is
-// sampler-agnostic by construction and this pins that down.
+// strategy the library provides (neighborhood, LADIES, Cluster-GCN). For
+// each combination the gathered feature bytes must match the feature
+// store's ground truth and the per-iteration stats must satisfy the
+// conservation invariants — the dataloader is sampler-agnostic by
+// construction and this pins that down.
 #include <gtest/gtest.h>
 
 #include "core/gids_loader.h"
 #include "graph/partition.h"
 #include "loaders/mmap_loader.h"
 #include "sampling/cluster_sampler.h"
-#include "sampling/hetero_sampler.h"
 #include "sampling/ladies_sampler.h"
 #include "tests/test_util.h"
 
@@ -52,20 +51,6 @@ TEST(SamplerMatrixTest, GidsWithLadiesSampler) {
   sampling::LadiesSampler ladies(&rig.dataset->graph,
                                  {.layer_sizes = {64, 64}}, 5);
   CheckLoaderAgainstGroundTruth(*rig.dataset, &ladies, *rig.system, 6);
-}
-
-TEST(SamplerMatrixTest, GidsWithHeteroSampler) {
-  auto hetero = graph::BuildDataset(graph::DatasetSpec::IgbhFull(), 4e-6, 3);
-  ASSERT_TRUE(hetero.ok());
-  sim::SystemConfig cfg =
-      sim::SystemConfig::Paper(sim::SsdSpec::IntelOptane());
-  cfg.memory_scale = 1.0 / 4096.0;
-  sim::SystemModel system(cfg);
-  sampling::HeteroSamplerOptions opts;
-  opts.fanouts = {{8, 8, 4, 4}, {4, 4, 2, 2}};
-  sampling::HeteroNeighborSampler sampler(&hetero->graph,
-                                          hetero->node_types, opts, 7);
-  CheckLoaderAgainstGroundTruth(*hetero, &sampler, system, 6);
 }
 
 TEST(SamplerMatrixTest, GidsWithClusterGcnSampler) {

@@ -150,9 +150,8 @@ TEST(CacheConcurrencyTest, LookupIntoNeverTears) {
 }
 
 // stats() merges the shards into a value it returns: two threads may read
-// it while a third drives lookups (a metric snapshot beside the loader's
-// traced prefetch thread), and each reader sees consistent totals that
-// only grow.
+// it while a third drives lookups (a metric snapshot beside a running
+// loader), and each reader sees consistent totals that only grow.
 TEST(CacheConcurrencyTest, ConcurrentStatsReadersWhileLookingUp) {
   constexpr uint64_t kPages = 256;
   constexpr int kRounds = 40;

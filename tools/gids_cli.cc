@@ -11,8 +11,7 @@
 //                     [--timeline-window-us 1000] [--report-top-k 5]
 //                     [--no-accumulator] [--no-window] [--no-cpu-buffer]
 //                     [--cpu-buffer-frac 0.1] [--window-depth 8]
-//                     [--host-threads 8] [--prefetch-depth 1]
-//                     [--no-workspace-pool]
+//                     [--host-threads 8] [--no-workspace-pool]
 //   gids_cli report   --in t.json [--report-top-k 5]
 //
 // `run` accepts either --dataset/--scale (generate on the fly) or
@@ -20,7 +19,9 @@
 // with --csv, writes per-iteration virtual-time stats for plotting.
 // `report` renders a --timeline-json document as the tail-latency
 // attribution report (windowed timeline + top-K slowest iterations with
-// their dominant cost-ledger component; see OBSERVABILITY.md).
+// their dominant cost-ledger component; see OBSERVABILITY.md). A flag the
+// subcommand does not read (misspelt, or not applicable to the chosen
+// loader) exits with status 2 before any loader runs or file is written.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -29,6 +30,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,8 @@ namespace {
 using namespace gids;
 
 // --- Minimal flag parsing: --key value, --key=value, and boolean --key.
+// Every accessor records the name it was asked for, so RejectUnread() can
+// name the flags the subcommand never read.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -78,30 +82,28 @@ class Flags {
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = Find(key);
+    return value == nullptr ? fallback : *value;
   }
   // Numeric flags accept a value only when all of it parses (integers in
   // base 0, so hex seeds work) and lies in [min, max]; anything else
   // exits with status 2 before a loader is built.
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const char* text = it->second.c_str();
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
+    const char* text = value->c_str();
     char* end = nullptr;
     errno = 0;
     double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE) {
-      Invalid(key, it->second);
-    }
+    if (end == text || *end != '\0' || errno == ERANGE) Invalid(key, *value);
     return v;
   }
   long GetInt(const std::string& key, long fallback, long min = LONG_MIN,
               long max = LONG_MAX) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
     long v = 0;
-    if (!ParseLong(it->second, min, max, &v)) Invalid(key, it->second);
+    if (!ParseLong(*value, min, max, &v)) Invalid(key, *value);
     return v;
   }
   /// Counts and sizes: never negative, and small enough for an int field.
@@ -125,12 +127,28 @@ class Flags {
     }
     return out;
   }
-  bool GetBool(const std::string& key) const {
-    return values_.count(key) > 0;
+  bool GetBool(const std::string& key) const { return Find(key) != nullptr; }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
+
+  /// Exits with status 2, one message per flag, if any flag given was
+  /// never read: call it once the subcommand has read all of its flags.
+  void RejectUnread() const {
+    bool unread = false;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        std::fprintf(stderr, "gids_cli: unknown flag --%s\n", key.c_str());
+        unread = true;
+      }
+    }
+    if (unread) std::exit(2);
   }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
   static bool ParseLong(const std::string& text, long min, long max,
                         long* out) {
     char* end = nullptr;
@@ -147,6 +165,7 @@ class Flags {
   }
 
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 StatusOr<graph::DatasetSpec> SpecByName(const std::string& name) {
@@ -171,12 +190,13 @@ StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
 }
 
 int CmdGenerate(const Flags& flags) {
+  const std::string out = flags.Get("out", "dataset.gids");
   auto dataset = ResolveDataset(flags);
   if (!dataset.ok()) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  std::string out = flags.Get("out", "dataset.gids");
+  flags.RejectUnread();
   Status s = graph::SaveDataset(*dataset, out);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -190,7 +210,9 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdInfo(const Flags& flags) {
-  auto dataset = graph::LoadDataset(flags.Get("in", ""));
+  const std::string path = flags.Get("in", "");
+  flags.RejectUnread();
+  auto dataset = graph::LoadDataset(path);
   if (!dataset.ok()) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
@@ -225,6 +247,12 @@ int CmdRun(const Flags& flags) {
       static_cast<uint32_t>(flags.GetCount("batch", 16, /*min=*/1));
   const long warmup = flags.GetCount("warmup", 100);
   const long measure = flags.GetCount("measure", 30);
+  // Written after the run, but read now so RejectUnread() below sees them
+  // (--prom-buckets only with --metrics-prom, the file it formats).
+  const std::string csv_path = flags.Get("csv", "");
+  const std::string des_trace_path = flags.Get("trace", "");
+  const bool prom_buckets =
+      flags.Has("metrics-prom") && flags.GetBool("prom-buckets");
   auto dataset_or = ResolveDataset(flags);
   if (!dataset_or.ok()) {
     std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
@@ -306,8 +334,6 @@ int CmdRun(const Flags& flags) {
         static_cast<int>(flags.GetCount("window-depth", 8));
     opts.host_threads =
         static_cast<uint32_t>(flags.GetCount("host-threads", 1));
-    opts.prefetch_depth =
-        static_cast<uint32_t>(flags.GetCount("prefetch-depth", 0));
     opts.coalesce_pages = flags.GetBool("coalesce-pages");
     // Escape hatch for the size-bucketed workspace pool (DESIGN.md §11):
     // every scratch acquire falls back to plain malloc/free. Results are
@@ -405,6 +431,7 @@ int CmdRun(const Flags& flags) {
                  kind.c_str());
     return 2;
   }
+  flags.RejectUnread();
 
   core::Trainer trainer(
       &dataset,
@@ -516,7 +543,7 @@ int CmdRun(const Flags& flags) {
     std::string path = flags.Get("metrics-prom", "metrics.prom");
     // --prom-buckets switches histograms from quantile summaries to native
     // cumulative _bucket{le=...} exposition (OBSERVABILITY.md).
-    Status s = metrics.WritePrometheusText(path, flags.GetBool("prom-buckets"));
+    Status s = metrics.WritePrometheusText(path, prom_buckets);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -568,7 +595,7 @@ int CmdRun(const Flags& flags) {
                 timeline->windows().size());
   }
 
-  if (flags.Has("trace")) {
+  if (!des_trace_path.empty()) {
     // Replay the measured stage costs through the pipeline DES and export
     // a chrome://tracing timeline of the run.
     std::vector<sim::StageCosts> stages;
@@ -585,24 +612,22 @@ int CmdRun(const Flags& flags) {
             : sim::PipelinePolicy::kDecoupled;
     std::vector<sim::TaskInterval> timeline;
     sim::PipelineResult des = sim::SimulatePipeline(stages, policy, &timeline);
-    std::string path = flags.Get("trace", "pipeline_trace.json");
-    Status s = sim::WriteChromeTrace(timeline, path);
+    Status s = sim::WriteChromeTrace(timeline, des_trace_path);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s (makespan %.3f ms; GPU %.0f%% / IO %.0f%% / "
                 "CPU %.0f%% utilized)\n",
-                path.c_str(), NsToMs(des.makespan_ns),
+                des_trace_path.c_str(), NsToMs(des.makespan_ns),
                 100 * des.gpu_utilization(), 100 * des.io_utilization(),
                 100 * des.cpu_utilization());
   }
 
-  if (flags.Has("csv")) {
-    std::string path = flags.Get("csv", "iterations.csv");
-    std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!csv_path.empty()) {
+    std::FILE* f = std::fopen(csv_path.c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      std::fprintf(stderr, "cannot open %s\n", csv_path.c_str());
       return 1;
     }
     std::fprintf(f,
@@ -623,13 +648,16 @@ int CmdRun(const Flags& flags) {
           st.merged_group);
     }
     std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
 }
 
 int CmdReport(const Flags& flags) {
-  std::string path = flags.Get("in", "");
+  const std::string path = flags.Get("in", "");
+  const size_t top_k = static_cast<size_t>(
+      std::max<long>(1, flags.GetCount("report-top-k", 5)));
+  flags.RejectUnread();
   if (path.empty()) {
     std::fprintf(stderr, "report requires --in <timeline.json>\n");
     return 2;
@@ -646,9 +674,7 @@ int CmdReport(const Flags& flags) {
     doc.append(buf, got);
   }
   std::fclose(f);
-  auto report = obs::RenderTimelineReport(
-      doc, static_cast<size_t>(
-               std::max<long>(1, flags.GetCount("report-top-k", 5))));
+  auto report = obs::RenderTimelineReport(doc, top_k);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
@@ -679,7 +705,6 @@ void Usage() {
       "            --no-accumulator --no-window --no-cpu-buffer\n"
       "            --cpu-buffer-frac F --window-depth D\n"
       "            --host-threads N (parallel data prep, bam/gids)\n"
-      "            --prefetch-depth P (async group prefetch, bam/gids)\n"
       "            --coalesce-pages (one round-trip per distinct page)\n"
       "            --no-workspace-pool (scratch via plain malloc/free;\n"
       "             bit-identical escape hatch, DESIGN.md §11)\n"
