@@ -25,7 +25,6 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/feature_gather.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
@@ -68,9 +67,8 @@ SweepResult RunSweep(uint32_t dim, double skew, bool coalesce) {
                                fs.num_pages(), /*seed=*/0xcac4e,
                                /*store_payloads=*/false,
                                /*num_shards=*/4);
-  storage::BamArray bam(&array, &cache);
-  storage::FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr,
-                                    coalesce);
+  storage::FeatureGatherer gatherer(&fs, &array, &cache,
+                                    /*hot_buffer=*/nullptr, coalesce);
   // Same seed per configuration: both modes and every re-run replay
   // identical batches.
   Rng rng(static_cast<uint64_t>(dim) * 1000 +

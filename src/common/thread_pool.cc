@@ -23,27 +23,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-    queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 ThreadPool::Batch ThreadPool::Launch(size_t n,
                                      std::function<void(size_t)> fn,
                                      size_t joiner_chunks) {
@@ -56,14 +35,17 @@ ThreadPool::Batch ThreadPool::Launch(size_t n,
   state->chunk_size = (n + target_chunks - 1) / target_chunks;
   state->num_chunks = (n + state->chunk_size - 1) / state->chunk_size;
   state->n = n;
-  // Helpers hold a shared_ptr, so one that wakes after the join still
-  // finds valid (if exhausted) state; it never calls the body once every
-  // chunk is claimed.
+  // Queued helpers hold a shared_ptr, so one that wakes after the join
+  // still finds valid (if exhausted) state; it never calls the body once
+  // every chunk is claimed.
   const size_t helpers =
       std::min(workers_.size(), state->num_chunks - joiner_chunks);
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([state] { RunChunks(*state); });
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t h = 0; h < helpers; ++h) tasks_.push(state);
+    queue_depth_.fetch_add(helpers, std::memory_order_relaxed);
   }
+  for (size_t h = 0; h < helpers; ++h) task_available_.notify_one();
   return Batch(std::move(state));
 }
 
@@ -134,33 +116,20 @@ ThreadPool::Batch::~Batch() { JoinOrDie(); }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<ForState> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_available_.wait(lock,
                            [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
+      if (tasks_.empty()) return;  // shut down with nothing left queued
+      batch = std::move(tasks_.front());
       tasks_.pop();
       queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     }
     busy_workers_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
+    RunChunks(*batch);  // catches the body's exceptions itself
     busy_workers_.fetch_sub(1, std::memory_order_relaxed);
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

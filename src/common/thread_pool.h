@@ -16,22 +16,19 @@
 
 namespace gids {
 
-/// Fixed-size worker pool used by the CPU-side data-preparation pipeline
-/// (the GIDS loader's asynchronous sample batches, the scrubber's
-/// per-shard sweep, serving's per-batch sampling, and the parallel R-MAT
-/// generator).
+/// Fixed-size fork-join worker pool used by the CPU-side data-preparation
+/// pipeline (the GIDS loader's asynchronous sample batches, the
+/// scrubber's per-shard sweep, serving's per-batch sampling, and the
+/// parallel R-MAT generator).
 ///
 /// Concurrency contract:
-///  - Submit/Wait: fire-and-forget tasks. The first exception thrown by a
-///    submitted task is captured and rethrown from the next Wait() call
-///    (the remaining tasks still run; the worker survives).
-///  - Start/Join: Start() splits [0, n) into chunks, submits helper tasks
+///  - Start/Join: Start() splits [0, n) into chunks, queues helper tasks
 ///    and returns a Batch at once; the helpers claim chunks from a shared
 ///    cursor. Batch::Join() runs every chunk nobody has claimed yet on the
 ///    joining thread, waits for the claimed ones, and rethrows the first
 ///    exception the body threw. Because the joiner helps, joining inside a
-///    task that runs on this very pool cannot deadlock, even when that task
-///    occupies the pool's only worker.
+///    batch body that runs on this very pool cannot deadlock, even when
+///    that body occupies the pool's only worker.
 ///  - ParallelFor: starts and joins at once, with one helper fewer than
 ///    Start() (the caller claims a chunk right away).
 ///  - Dynamic chunking: ranges are split into more chunks than workers
@@ -47,13 +44,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has completed. Rethrows the first
-  /// exception captured from a submitted task since the previous Wait().
-  void Wait();
-
   class Batch;
 
   /// Starts fn(i) for i in [0, n) over dynamically claimed chunks and
@@ -68,15 +58,16 @@ class ThreadPool {
   // --- Introspection (lock-free; feed the obs gauges, see
   // obs::BindThreadPoolMetrics).
 
-  /// Tasks currently sitting in the queue, not yet claimed by a worker.
+  /// Helper tasks currently sitting in the queue, not yet claimed by a
+  /// worker.
   size_t queue_depth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
-  /// Workers currently executing a task.
+  /// Workers currently executing a helper task.
   size_t busy_workers() const {
     return busy_workers_.load(std::memory_order_relaxed);
   }
-  /// Total tasks executed by workers since construction.
+  /// Total helper tasks executed by workers since construction.
   uint64_t tasks_executed() const {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
@@ -104,7 +95,7 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  /// Chunks [0, n) for `fn` and submits one helper task per chunk, up to
+  /// Chunks [0, n) for `fn` and queues one helper task per chunk, up to
   /// the worker count, except for the `joiner_chunks` (0 or 1) the caller
   /// claims by joining at once.
   Batch Launch(size_t n, std::function<void(size_t)> fn,
@@ -113,13 +104,11 @@ class ThreadPool {
   static void RunChunks(ForState& state);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  /// One entry per helper task: the batch whose chunks it claims.
+  std::queue<std::shared_ptr<ForState>> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
   bool shutdown_ = false;
-  std::exception_ptr first_error_;  // from submitted tasks; guarded by mu_
 
   std::atomic<size_t> queue_depth_{0};
   std::atomic<size_t> busy_workers_{0};

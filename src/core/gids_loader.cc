@@ -127,7 +127,6 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
                             options_.verify_cache_fill,
                             options_.verify_cache_hit);
   }
-  bam_ = std::make_unique<storage::BamArray>(storage_.get(), cache_.get());
 
   if (options_.host_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.host_threads);
@@ -170,10 +169,12 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
     }
   }
   gatherer_ = std::make_unique<storage::FeatureGatherer>(
-      &fs, bam_.get(), cpu_buffer_.get(), options_.coalesce_pages);
+      &fs, storage_.get(), cache_.get(), cpu_buffer_.get(),
+      options_.coalesce_pages);
   if (options_.use_window_buffering) {
     window_ = std::make_unique<WindowBuffer>(cache_.get(), &fs,
                                              cpu_buffer_.get());
+    lookahead_ = options_.window_depth;
   }
   StorageAccessAccumulator::Params acc_params;
   acc_params.target_fraction = options_.accumulator_target;
@@ -387,7 +388,7 @@ void GidsLoader::RegisterWindow(size_t count) {
   }
 }
 
-StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
+Status GidsLoader::PrepareGroupBatches() {
   const graph::FeatureStore& fs = dataset_->features;
   const double pages_per_node = fs.PagesPerNode();
 
@@ -396,22 +397,6 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // and every replica-health decision are pure functions of the group
   // prefix, never of wall time or call interleaving.
   storage_->AdvanceClock(prep_clock_ns_);
-
-  if (resolved_window_depth_ == 0 && options_.use_window_buffering) {
-    if (options_.auto_window_depth) {
-      EnsureSampledAhead(1);
-      uint64_t minibatch_bytes =
-          static_cast<uint64_t>(pages_per_node *
-                                static_cast<double>(
-                                    pending_[0].batch.num_input_nodes())) *
-          fs.page_bytes();
-      resolved_window_depth_ =
-          AutoWindowDepth(cache_->capacity_lines() * fs.page_bytes(),
-                          minibatch_bytes);
-    } else {
-      resolved_window_depth_ = options_.window_depth;
-    }
-  }
 
   // --- Accumulator: choose how many iterations to merge so the group's
   // page accesses exceed the (redirect-adjusted) concurrency threshold.
@@ -429,9 +414,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
       if (est_pages >= threshold) break;
     }
   }
-  size_t lookahead = options_.use_window_buffering
-                         ? static_cast<size_t>(resolved_window_depth_)
-                         : 0;
+  const size_t lookahead = static_cast<size_t>(lookahead_);
   EnsureSampledAhead(group + lookahead);
   RegisterWindow(group + lookahead);
   // The pool samples the next look-ahead batch while this thread runs the
@@ -463,7 +446,6 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
     }
     const uint64_t through_iter = pending_[group - 1].iteration + 1;
     mutations_->SubmitThrough(storage_.get(), through_iter);
-    mutations_through_iter_ = through_iter;
     storage_->SyncJournals();
     storage_->ApplyJournal(
         options_.journal_apply_budget,
@@ -489,13 +471,16 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   }
 
   // --- Gather every merged iteration (conceptually one aggregation
-  // kernel execution spanning the group).
-  std::vector<loaders::LoaderBatch> group_batches(group);
+  // kernel execution spanning the group) into ready_, rebuilt from
+  // fresh batches in the storage the last group left behind.
+  ready_.clear();
+  ready_next_ = 0;
+  ready_.resize(group);
   // Rebuild each batch's feature storage from the recycle bank (its
   // capacity survives the round trip through the consumer).
   if (!options_.counting_mode) {
     for (size_t i = 0; i < group && !features_free_.empty(); ++i) {
-      group_batches[i].features = std::move(features_free_.back());
+      ready_[i].features = std::move(features_free_.back());
       features_free_.pop_back();
     }
   }
@@ -503,7 +488,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   TimeNs group_training = 0;
   for (size_t i = 0; i < group; ++i) {
     Pending& p = pending_[i];
-    loaders::IterationStats& st = group_batches[i].stats;
+    loaders::IterationStats& st = ready_[i].stats;
     st.sampled_edges = p.batch.total_edges();
     st.input_nodes = p.batch.num_input_nodes();
     st.sampling_ns = p.sampling_ns;
@@ -546,22 +531,26 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
     if (options_.counting_mode) {
       slices[i] = storage::GatherSlice{nodes, {}};
     } else {
-      group_batches[i].features.resize(nodes.size() * fs.feature_dim());
-      slices[i] = storage::GatherSlice{
-          nodes, std::span<float>(group_batches[i].features)};
+      ready_[i].features.resize(nodes.size() * fs.feature_dim());
+      slices[i] =
+          storage::GatherSlice{nodes, std::span<float>(ready_[i].features)};
     }
   }
   storage::GatherReceipt receipt;
-  GIDS_RETURN_IF_ERROR(gatherer_->GatherGroup(
-      std::span<const storage::GatherSlice>(slices.data(), slices.size()),
-      std::span<storage::FeatureGatherCounts>(slice_counts.data(),
-                                              slice_counts.size()),
-      &receipt));
+  if (Status st = gatherer_->GatherGroup(
+          std::span<const storage::GatherSlice>(slices.data(), slices.size()),
+          std::span<storage::FeatureGatherCounts>(slice_counts.data(),
+                                                  slice_counts.size()),
+          &receipt);
+      !st.ok()) {
+    ready_.clear();
+    return st;
+  }
   storage::FeatureGatherCounts group_counts;
   for (size_t i = 0; i < group; ++i) {
-    group_batches[i].stats.gather = slice_counts[i];
+    ready_[i].stats.gather = slice_counts[i];
     group_counts.Add(slice_counts[i]);
-    group_batches[i].batch = std::move(pending_[i].batch);
+    ready_[i].batch = std::move(pending_[i].batch);
     // Park consumed Pendings so their seeds vectors keep their capacity
     // (the batch was moved into the LoaderBatch above).
     if (pending_free_.size() < options_.max_merged_iterations * 2) {
@@ -573,7 +562,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // Failover attribution (FAULTS.md "Durability & failover") is
   // group-scoped like the kernel, so the group's first iteration carries
   // it and per-run sums stay exact.
-  loaders::IterationStats& st0 = group_batches[0].stats;
+  loaders::IterationStats& st0 = ready_[0].stats;
   st0.failovers = receipt.failovers;
   st0.failover_device = receipt.failover_device;
   st0.failover_replica = receipt.failover_replica;
@@ -599,7 +588,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
           ? std::max(cost.kernel_ns, group_sampling + group_training)
           : group_sampling + cost.kernel_ns + group_training;
   for (size_t i = 0; i < group; ++i) {
-    loaders::IterationStats& st = group_batches[i].stats;
+    loaders::IterationStats& st = ready_[i].stats;
     st.aggregation_ns = cost.kernel_ns / g;
     st.e2e_ns = group_e2e / g;
     st.effective_bandwidth_bps = cost.timing.effective_bandwidth_bps;
@@ -678,7 +667,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
     merged_group_hist_->Observe(group);
     threshold_gauge_->Set(
         static_cast<double>(accumulator_->CurrentThreshold()));
-    window_depth_gauge_->Set(static_cast<double>(resolved_window_depth_));
+    window_depth_gauge_->Set(static_cast<double>(lookahead_));
   }
   if (observer_ != nullptr && observer_->trace() != nullptr) {
     // Groups are prepared in consumption order, each once its predecessor
@@ -704,22 +693,18 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   // Advance the preparation clock past this group, so the next group's
   // storage decisions (offline onsets, replica health) happen at the
   // virtual instant this group's iterations end.
-  for (const loaders::LoaderBatch& lb : group_batches) {
+  for (const loaders::LoaderBatch& lb : ready_) {
     prep_clock_ns_ += lb.stats.e2e_ns;
   }
   ++groups_prepared_;
-
-  return group_batches;
+  return Status::OK();
 }
 
 StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
-  if (ready_.empty()) {
-    auto group = PrepareGroupBatches();
-    GIDS_RETURN_IF_ERROR(group.status());
-    for (loaders::LoaderBatch& lb : *group) ready_.push_back(std::move(lb));
+  if (ready_next_ == ready_.size()) {
+    GIDS_RETURN_IF_ERROR(PrepareGroupBatches());
   }
-  loaders::LoaderBatch out = std::move(ready_.front());
-  ready_.pop_front();
+  loaders::LoaderBatch out = std::move(ready_[ready_next_++]);
   elapsed_ns_ += out.stats.e2e_ns;
   ++iterations_;
   if (observer_ != nullptr) observer_->RecordIteration(out.stats);

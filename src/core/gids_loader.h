@@ -23,7 +23,6 @@
 #include "sampling/sampler.h"
 #include "sampling/seed_iterator.h"
 #include "sim/system_model.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/page_integrity.h"
@@ -54,9 +53,6 @@ struct GidsOptions : storage::FaultOptions,
 
   bool use_window_buffering = true;
   int window_depth = 8;                    // paper default (§3.4)
-  /// Derive the depth from the cache-to-minibatch ratio at runtime
-  /// (AutoWindowDepth) instead of using window_depth.
-  bool auto_window_depth = false;
 
   bool use_cpu_buffer = true;
   double cpu_buffer_fraction = 0.10;       // of the feature data size
@@ -234,8 +230,9 @@ class GidsLoader : public loaders::DataLoader {
   const storage::SoftwareCache& cache() const { return *cache_; }
   storage::SoftwareCache& mutable_cache() { return *cache_; }
   const StorageAccessAccumulator& accumulator() const { return *accumulator_; }
-  /// Effective look-ahead depth (resolved on first use in auto mode).
-  int window_depth() const { return resolved_window_depth_; }
+  /// Effective look-ahead depth: window_depth with window buffering on,
+  /// else 0.
+  int window_depth() const { return lookahead_; }
   const ConstantCpuBuffer* cpu_buffer() const { return cpu_buffer_.get(); }
   /// The plugged cache policy (owned unless shared_cache_policy was set).
   const storage::CachePolicy& cache_policy() const { return *policy_; }
@@ -291,9 +288,10 @@ class GidsLoader : public loaders::DataLoader {
   void LaunchSampleBatch(size_t group, size_t lookahead);
   /// Registers every pending batch in [0, count) with the window buffer.
   void RegisterWindow(size_t count);
-  /// Prepares the next accumulator group; Next() calls it on the calling
-  /// thread whenever its ready queue is empty.
-  StatusOr<std::vector<loaders::LoaderBatch>> PrepareGroupBatches();
+  /// Prepares the next accumulator group into ready_; Next() calls it on
+  /// the calling thread once every ready batch is consumed. On an error
+  /// ready_ is left empty and pending_ unchanged.
+  Status PrepareGroupBatches();
 
   const graph::Dataset* dataset_;
   sampling::Sampler* sampler_;
@@ -305,7 +303,6 @@ class GidsLoader : public loaders::DataLoader {
   std::unique_ptr<storage::CachePolicy> owned_policy_;
   storage::CachePolicy* policy_ = nullptr;  // never null after the ctor
   std::unique_ptr<storage::SoftwareCache> cache_;
-  std::unique_ptr<storage::BamArray> bam_;
   std::unique_ptr<ConstantCpuBuffer> cpu_buffer_;
   std::unique_ptr<storage::FeatureGatherer> gatherer_;
   std::unique_ptr<WindowBuffer> window_;
@@ -315,7 +312,10 @@ class GidsLoader : public loaders::DataLoader {
   std::deque<Pending> pending_;
   SampleBatch ahead_;
   size_t peak_lookahead_ = 0;
-  std::deque<loaders::LoaderBatch> ready_;
+  /// The prepared group, consumed in order from ready_next_; refilled in
+  /// place, so its storage is reused across groups.
+  std::vector<loaders::LoaderBatch> ready_;
+  size_t ready_next_ = 0;
   /// Consumed Pendings parked for reuse: their seeds vector and MiniBatch
   /// blocks keep their capacity across iterations.
   std::vector<Pending> pending_free_;
@@ -337,7 +337,7 @@ class GidsLoader : public loaders::DataLoader {
   bool presample_live_rerank_ = false;
 
   uint64_t next_sample_iteration_ = 0;
-  int resolved_window_depth_ = 0;
+  int lookahead_ = 0;
   TimeNs elapsed_ns_ = 0;
   uint64_t iterations_ = 0;
 
@@ -349,9 +349,6 @@ class GidsLoader : public loaders::DataLoader {
   /// instant the NEXT group preparation starts at.
   TimeNs prep_clock_ns_ = 0;
   uint64_t groups_prepared_ = 0;
-  /// Iterations whose mutations have been submitted (the stream is
-  /// submitted through the group's last iteration before its gathers).
-  uint64_t mutations_through_iter_ = 0;
   bool crash_done_ = false;
 
   // Background-scrubber accounting (INTEGRITY.md). Atomic because metric

@@ -1,7 +1,5 @@
 #include "core/window_buffer.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace gids::core {
@@ -36,13 +34,6 @@ void WindowBuffer::BindMetrics(obs::MetricRegistry* registry,
   registry->RegisterCallback(
       "gids_window_registered_pages_total", labels, MetricType::kCounter,
       [this] { return static_cast<double>(registered_pages_); });
-}
-
-int AutoWindowDepth(uint64_t cache_bytes, uint64_t minibatch_bytes) {
-  if (minibatch_bytes == 0) return 2;
-  uint64_t ratio = cache_bytes / std::max<uint64_t>(1, minibatch_bytes);
-  uint64_t depth = 2 * std::max<uint64_t>(1, ratio);
-  return static_cast<int>(std::clamp<uint64_t>(depth, 2, 32));
 }
 
 }  // namespace gids::core

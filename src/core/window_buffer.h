@@ -34,12 +34,6 @@ class WindowBuffer {
   uint64_t registered_batches() const { return registered_batches_; }
   uint64_t registered_pages() const { return registered_pages_; }
 
-  /// GPU-memory footprint of the sampled-node-id lists currently held for
-  /// look-ahead (the §3.4 trade-off: deeper windows cost GPU memory).
-  uint64_t IdListBytes(const sampling::MiniBatch& batch) const {
-    return batch.num_input_nodes() * sizeof(graph::NodeId);
-  }
-
   /// Exposes registration counters through `registry`; the pinned-line
   /// gauge itself lives with the cache (SoftwareCache::BindMetrics).
   void BindMetrics(obs::MetricRegistry* registry,
@@ -52,13 +46,6 @@ class WindowBuffer {
   uint64_t registered_batches_ = 0;
   uint64_t registered_pages_ = 0;
 };
-
-/// Default window depth "based on the system environment" (§3.4): the
-/// look-ahead only beats random eviction once it sees further than what
-/// the cache would retain anyway (Fig. 11: depth 4 ~ random when the
-/// cache holds ~4 mini-batches), so the depth is set to twice the
-/// cache-to-minibatch ratio, clamped to [2, 32].
-int AutoWindowDepth(uint64_t cache_bytes, uint64_t minibatch_bytes);
 
 }  // namespace gids::core
 

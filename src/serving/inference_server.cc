@@ -48,12 +48,11 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
       options_.gpu_cache_lines * fs_.page_bytes(), fs_.page_bytes(),
       fs_.num_pages(), /*seed=*/options_.seed ^ 0xcac4e,
       /*store_payloads=*/false, options_.cache_shards);
-  bam_ = std::make_unique<storage::BamArray>(array_.get(), cache_.get());
   if (options_.host_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.host_threads);
   }
   gatherer_ = std::make_unique<storage::FeatureGatherer>(
-      &fs_, bam_.get(), /*hot_buffer=*/nullptr,
+      &fs_, array_.get(), cache_.get(), /*hot_buffer=*/nullptr,
       /*coalesce_pages=*/options_.coalesce_across_requests);
 
   if (options_.metrics != nullptr) {

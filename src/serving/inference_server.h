@@ -22,7 +22,6 @@
 #include "serving/slo_scheduler.h"
 #include "serving/traffic_gen.h"
 #include "sim/system_model.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/page_integrity.h"
@@ -187,7 +186,6 @@ class InferenceServer {
   graph::FeatureStore fs_;
   std::unique_ptr<storage::StorageArray> array_;
   std::unique_ptr<storage::SoftwareCache> cache_;
-  std::unique_ptr<storage::BamArray> bam_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<storage::FeatureGatherer> gatherer_;
 

@@ -40,12 +40,7 @@ AggregationTiming ComputeAggregationTiming(const SystemModel& system,
     SsdSpec spec = cfg.ssd;
     spec.io_size_bytes = counts.page_bytes;
     SsdBatchResult ssd =
-        cfg.event_driven_ssd
-            ? SimulateStripedClosedLoop(spec, cfg.n_ssd, counts.ssd_reads,
-                                        ssd_window,
-                                        /*seed=*/counts.ssd_reads ^ 0xde5)
-            : EstimateClosedLoop(spec, cfg.n_ssd, counts.ssd_reads,
-                                 ssd_window);
+        EstimateClosedLoop(spec, cfg.n_ssd, counts.ssd_reads, ssd_window);
     t.ssd_ns = launch_overhead + ssd.duration_ns;
   } else {
     t.ssd_ns = launch_overhead;

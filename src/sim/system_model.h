@@ -38,13 +38,6 @@ struct SystemConfig {
   /// simultaneously enqueue storage accesses).
   double redirect_interference = 0.15;
 
-  /// Use the event-driven SSD simulation (heap-based multi-channel model
-  /// with latency jitter) inside the aggregation timing model instead of
-  /// the closed-form estimate. Slower but captures queueing texture;
-  /// results agree with the estimate within a few percent (see
-  /// AggregationModelTest.EventDrivenAgreesWithEstimate).
-  bool event_driven_ssd = false;
-
   uint64_t scaled_cpu_memory_bytes() const {
     return static_cast<uint64_t>(static_cast<double>(cpu_memory_bytes) *
                                  memory_scale);

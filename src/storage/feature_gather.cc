@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -10,16 +11,19 @@
 namespace gids::storage {
 
 FeatureGatherer::FeatureGatherer(const graph::FeatureStore* layout,
-                                 BamArray* array,
+                                 StorageArray* storage, SoftwareCache* cache,
                                  const HotNodeBuffer* hot_buffer,
                                  bool coalesce_pages)
     : layout_(layout),
-      array_(array),
+      storage_(storage),
+      cache_(cache),
       hot_buffer_(hot_buffer),
       coalesce_pages_(coalesce_pages) {
   GIDS_CHECK(layout_ != nullptr);
-  GIDS_CHECK(array_ != nullptr);
-  GIDS_CHECK(layout_->page_bytes() == array_->page_bytes());
+  GIDS_CHECK(storage_ != nullptr);
+  GIDS_CHECK(cache_ != nullptr);
+  GIDS_CHECK(layout_->page_bytes() == storage_->page_bytes());
+  GIDS_CHECK(cache_->line_bytes() == storage_->page_bytes());
 }
 
 Status FeatureGatherer::GatherGroup(
@@ -53,7 +57,6 @@ Status FeatureGatherer::GatherGroup(
   const uint32_t num_slices = static_cast<uint32_t>(slices.size());
   const uint64_t page_bytes = layout_->page_bytes();
   const uint64_t feat_bytes = layout_->feature_bytes_per_node();
-  const StorageArray* ssd_array = array_->storage();
 
   // Walk the slices in order: hot nodes are served from the CPU buffer,
   // every other node's page accesses are recorded in slice-major node
@@ -82,8 +85,8 @@ Status FeatureGatherer::GatherGroup(
     }
   }
 
-  const size_t n_ssd = static_cast<size_t>(ssd_array->n_ssd());
-  const size_t fo_cells = ssd_array->replica_set() != nullptr
+  const size_t n_ssd = static_cast<size_t>(storage_->n_ssd());
+  const size_t fo_cells = storage_->replica_set() != nullptr
                               ? n_ssd + ReplicaSet::kMaxReplicas
                               : 0;
   failovers_.assign(fo_cells, 0);
@@ -113,21 +116,35 @@ Status FeatureGatherer::GatherGroup(
   };
   // Services `page` once through the cache/storage path into page_buf_
   // (empty in counting mode), charging `slice` and draining `reuses`
-  // window pins. *failed is set when the page was served as zeroes.
+  // window pins. *degraded or *corrupt is set when the page was served as
+  // zeroes.
   auto service = [&](uint64_t page, uint32_t slice, uint32_t reuses,
                      bool* degraded, bool* corrupt) {
-    GatherCounts gc;
+    // Lookup copies under the owning shard's lock, so a concurrent
+    // insertion into the same shard cannot tear the payload. A hit-time
+    // integrity mismatch surfaces here as a miss (the line was
+    // quarantined) and falls through to the repairing storage read.
+    if (cache_->Lookup(page, page_buf_.span(), reuses)) {
+      ++counts_[slice].gpu_cache_hits;
+      return Status::OK();
+    }
     StorageArray::ReadOutcome oc;
-    Status st = array_->ReadPage(page, page_buf_.span(), &gc, reuses, &oc);
-    if (st.code() == StatusCode::kUnavailable) {
+    Status st = storage_->ReadPage(page, page_buf_.span(), &oc);
+    if (st.ok()) {
+      ++counts_[slice].storage_reads;
+      cache_->Insert(page, page_buf_.span(),
+                     oc.crc_known ? std::optional<uint32_t>(oc.crc)
+                                  : std::nullopt,
+                     oc.served_corrupt);
+    } else if (st.code() == StatusCode::kUnavailable) {
       // Retries exhausted (FAULTS.md): serve the page as zeroes and flag
-      // the rows rather than failing the whole gather.
+      // the rows rather than failing the whole gather. Nothing is cached.
       *degraded = true;
     } else if (st.code() == StatusCode::kDataLoss) {
       // Never verified clean (INTEGRITY.md): same zero-fill degradation,
       // separate accounting.
       *corrupt = true;
-    } else if (!st.ok()) {
+    } else {
       return st;
     }
     // Bill the read to this call's receipt; a dead-lettered read's
@@ -136,11 +153,9 @@ Status FeatureGatherer::GatherGroup(
     crc_ns += oc.crc_ns;
     if (*degraded || *corrupt) degraded_ns += oc.penalty_ns - oc.crc_ns;
     if (oc.served_replica != 0) {
-      ++failovers_[ssd_array->DeviceFor(page)];
+      ++failovers_[storage_->DeviceFor(page)];
       ++failovers_[n_ssd + oc.served_replica];
     }
-    counts_[slice].gpu_cache_hits += gc.cache_hits;
-    counts_[slice].storage_reads += gc.storage_reads;
     return Status::OK();
   };
 

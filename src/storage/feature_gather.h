@@ -13,7 +13,8 @@
 #include "graph/types.h"
 #include "obs/ledger.h"
 #include "sim/aggregation_model.h"
-#include "storage/bam_array.h"
+#include "storage/software_cache.h"
+#include "storage/storage_array.h"
 
 namespace gids::storage {
 
@@ -172,9 +173,10 @@ struct GatherSlice {
 /// repeats across accumulator-merged iterations (GatherGroup) all collapse
 /// into one SSD read — the paper's premise that concurrent same-page
 /// requests coalesce in the BaM I/O stack (§2). The coalesced service
-/// drains all member window-buffer pins at once (BamArray's `reuses`), so
-/// end-of-gather cache state matches the uncoalesced books. Without
-/// coalescing every access round-trips individually, in node order.
+/// drains all member window-buffer pins at once (SoftwareCache::Lookup's
+/// `reuses`), so end-of-gather cache state matches the uncoalesced books.
+/// Without coalescing every access round-trips individually, in node
+/// order.
 ///
 /// Degraded mode (FAULTS.md): a storage read that exhausted its retries
 /// (Status::Unavailable from the fault-injected array) does not fail the
@@ -190,18 +192,19 @@ struct GatherSlice {
 /// uncoalesced re-reads replay the identical outcome.
 class FeatureGatherer {
  public:
-  /// `hot_buffer` may be null (plain BaM gather). `coalesce_pages` enables
-  /// page coalescing (default off: every access round-trips individually,
-  /// the pre-coalescing behaviour).
-  FeatureGatherer(const graph::FeatureStore* layout, BamArray* array,
+  /// `cache` fronts `storage` (BaM's software cache over the SSD array):
+  /// every page access looks it up first, and a miss reads storage and
+  /// inserts the page. `hot_buffer` may be null (plain BaM gather).
+  /// `coalesce_pages` enables page coalescing (default off: every access
+  /// round-trips individually, the pre-coalescing behaviour).
+  FeatureGatherer(const graph::FeatureStore* layout, StorageArray* storage,
+                  SoftwareCache* cache,
                   const HotNodeBuffer* hot_buffer = nullptr,
                   bool coalesce_pages = false);
 
   const graph::FeatureStore& layout() const { return *layout_; }
 
   bool coalesce_pages() const { return coalesce_pages_; }
-  /// Not thread-safe against a running gather; flip between gathers only.
-  void set_coalesce_pages(bool on) { coalesce_pages_ = on; }
 
   /// Gathers features for `nodes` into `out` (size >= nodes.size() * dim):
   /// a one-slice GatherGroup. An empty `out` is counting mode: identical
@@ -251,9 +254,10 @@ class FeatureGatherer {
   using RowId = std::pair<uint32_t, uint64_t>;
 
   const graph::FeatureStore* layout_;
-  BamArray* array_;
+  StorageArray* storage_;
+  SoftwareCache* cache_;
   const HotNodeBuffer* hot_buffer_;
-  bool coalesce_pages_ = false;
+  const bool coalesce_pages_;
 
   // Reusable gather scratch, pool-backed so steady-state gathers allocate
   // nothing; guarded by gather_mu_.

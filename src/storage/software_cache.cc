@@ -194,7 +194,7 @@ uint32_t SoftwareCache::AcquireSlotLocked(Shard& sh, uint64_t page) {
     view.lines = &sh.lines;
     uint64_t skips = 0;
     size_t victim = policy_->SelectVictim(*sh.policy_state, view, page,
-                                          max_probes_, &skips);
+                                          kMaxProbes, &skips);
     sh.stats.pinned_probe_skips += skips;
     if (victim == CachePolicy::kNoVictim) {
       ++sh.stats.bypasses;
@@ -324,13 +324,6 @@ CacheStats SoftwareCache::stats() const {
     merged.scrub_errors += sh->stats.scrub_errors;
   }
   return merged;
-}
-
-void SoftwareCache::ResetStats() {
-  for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    sh->stats = CacheStats{};
-  }
 }
 
 void SoftwareCache::BindMetrics(obs::MetricRegistry* registry,

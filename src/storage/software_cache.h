@@ -156,7 +156,6 @@ class SoftwareCache {
   /// intended for quiescent points (end of iteration, test assertions),
   /// not hot paths. Safe to call from several threads at once.
   CacheStats stats() const;
-  void ResetStats();
 
   /// Exposes the cache through `registry` (pull-style: every CacheStats
   /// field plus resident/pinned-line gauges is read — and merged across
@@ -188,7 +187,7 @@ class SoftwareCache {
   bool store_payloads() const { return store_payloads_; }
 
   /// Inserts `page`. If the shard is full, random probing evicts a
-  /// Safe-to-Evict victim; after `max_probes` pinned probes the insertion
+  /// Safe-to-Evict victim; after kMaxProbes pinned probes the insertion
   /// is bypassed. Returns true if the page is resident after the call.
   ///
   /// A line-sized `payload` (payload cache only) is copied into the line
@@ -225,9 +224,6 @@ class SoftwareCache {
 
   /// Current future-reuse counter for a page (0 if none).
   uint32_t FutureReuseCount(uint64_t page) const;
-
-  int max_probes() const { return max_probes_; }
-  void set_max_probes(int p) { max_probes_ = p; }
 
   /// The plugged replacement/admission policy (never null).
   CachePolicy* policy() const { return policy_; }
@@ -266,6 +262,8 @@ class SoftwareCache {
   };
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// Victim probes an insertion makes before it bypasses the cache.
+  static constexpr int kMaxProbes = 32;
 
   /// The shard owning `page`, after the range check every entry point
   /// makes: pages come from FeatureStore::PagesFor, so an out-of-range
@@ -304,7 +302,6 @@ class SoftwareCache {
   const PageChecksummer* checksummer_ = nullptr;  // null = no payload verify
   bool verify_fill_ = false;
   bool verify_hit_ = false;
-  int max_probes_ = 32;
   uint64_t total_lines_ = 0;
   uint32_t shard_mask_ = 0;   // num_shards - 1
   uint32_t shard_shift_ = 64; // 64 - log2(num_shards)

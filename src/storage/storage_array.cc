@@ -470,28 +470,4 @@ void StorageArray::BindMetrics(obs::MetricRegistry* registry,
       registry->GetHistogram("gids_storage_retry_latency_ns", labels);
 }
 
-void StorageArray::ResetCounters() {
-  total_reads_.store(0, std::memory_order_relaxed);
-  retries_total_.store(0, std::memory_order_relaxed);
-  timeouts_total_.store(0, std::memory_order_relaxed);
-  dead_letters_total_.store(0, std::memory_order_relaxed);
-  retry_backoff_ns_total_.store(0, std::memory_order_relaxed);
-  retry_penalty_ns_total_.store(0, std::memory_order_relaxed);
-  crc_verify_ns_total_.store(0, std::memory_order_relaxed);
-  degraded_penalty_ns_total_.store(0, std::memory_order_relaxed);
-  verified_reads_total_.store(0, std::memory_order_relaxed);
-  checksum_mismatches_total_.store(0, std::memory_order_relaxed);
-  integrity_repairs_total_.store(0, std::memory_order_relaxed);
-  data_loss_total_.store(0, std::memory_order_relaxed);
-  replica_failovers_total_.store(0, std::memory_order_relaxed);
-  replica_quorum_lost_total_.store(0, std::memory_order_relaxed);
-  for (int d = 0; d < n_ssd_; ++d) {
-    per_device_reads_[d].store(0, std::memory_order_relaxed);
-    failovers_from_device_[d].store(0, std::memory_order_relaxed);
-  }
-  for (int r = 0; r < ReplicaSet::kMaxReplicas; ++r) {
-    reads_by_replica_[r].store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace gids::storage

@@ -50,7 +50,8 @@ namespace gids::storage {
 /// Status::DataLoss (unrepairable corruption) rather than kUnavailable.
 class StorageArray {
  public:
-  /// Side-channel of one read, consumed by the caching layer (BamArray).
+  /// Side-channel of one read, consumed by the caching layer
+  /// (FeatureGatherer inserts the page with its checksum).
   struct ReadOutcome {
     /// The winning attempt carried silent corruption that verification is
     /// not configured to catch: the caller received (or, in counting
@@ -286,8 +287,6 @@ class StorageArray {
   uint64_t reads_by_replica(int r) const {
     return reads_by_replica_[r].load(std::memory_order_relaxed);
   }
-
-  void ResetCounters();
 
   /// Exposes the array through `registry`: read counters (total and
   /// per-device), queue-pair doorbell traffic, an outstanding-request

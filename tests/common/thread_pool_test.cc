@@ -3,28 +3,75 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
-#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace gids {
 namespace {
 
+/// Yields until `done` holds; a pool that never gets there hangs the test
+/// until ctest's timeout.
+void WaitUntil(const std::function<bool()>& done) {
+  while (!done()) std::this_thread::yield();
+}
+
+/// Occupies every worker of a pool inside one started batch until
+/// Release(): each worker claims one chunk and blocks in it. Nothing the
+/// test queues afterwards can start on a worker, so the joining thread
+/// runs every chunk itself and queue_depth() counts exactly the helpers
+/// queued since.
+class BlockedWorkers {
+ public:
+  explicit BlockedWorkers(ThreadPool& pool)
+      : opened_(gate_.get_future().share()) {
+    const size_t n = pool.num_threads();
+    batch_ = pool.Start(n, [this](size_t) {
+      entered_.fetch_add(1);
+      opened_.wait();
+    });
+    WaitUntil([&] { return entered_.load() == n; });
+  }
+  BlockedWorkers(const BlockedWorkers&) = delete;
+  BlockedWorkers& operator=(const BlockedWorkers&) = delete;
+  ~BlockedWorkers() { Release(); }
+
+  void Release() {
+    if (!batch_.active()) return;
+    gate_.set_value();
+    batch_.Join();
+  }
+
+ private:
+  std::promise<void> gate_;
+  std::shared_future<void> opened_;
+  std::atomic<size_t> entered_{0};
+  ThreadPool::Batch batch_;
+};
+
+// The helpers Start queues run the batch on their own: every index is
+// done before anyone joins.
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  ThreadPool::Batch batch =
+      pool.Start(100, [&counter](size_t) { counter.fetch_add(1); });
+  WaitUntil([&] { return counter.load() == 100; });
+  batch.Join();
   EXPECT_EQ(counter.load(), 100);
 }
 
+// Joining a handle that holds no batch returns at once.
 TEST(ThreadPoolTest, WaitOnEmptyPoolReturns) {
   ThreadPool pool(2);
-  pool.Wait();  // must not hang
+  ThreadPool::Batch none;
+  none.Join();
+  ThreadPool::Batch empty = pool.Start(0, [](size_t) { FAIL(); });
+  EXPECT_FALSE(empty.active());
+  empty.Join();
   SUCCEED();
 }
 
@@ -41,52 +88,52 @@ TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   SUCCEED();
 }
 
+// Each join waits for exactly its own batch.
 TEST(ThreadPoolTest, MultipleWaitCycles) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.Submit([&counter] { counter++; });
-    pool.Wait();
+    pool.Start(20, [&counter](size_t) { counter++; }).Join();
     EXPECT_EQ(counter.load(), (round + 1) * 20);
   }
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  // One worker executes in FIFO order.
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
+  std::vector<std::atomic<int>> touched(10);
+  pool.ParallelFor(touched.size(), [&touched](size_t i) { touched[i]++; });
+  pool.Start(touched.size(), [&touched](size_t i) { touched[i]++; }).Join();
+  for (auto& t : touched) EXPECT_EQ(t.load(), 2);
 }
 
+// Destroying the pool drains helpers still queued for batches that were
+// joined without them: they find nothing to claim, and the workers exit.
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 50; ++i) pool.Submit([&counter] { counter++; });
-    pool.Wait();
+    BlockedWorkers blocked(pool);
+    pool.ParallelFor(50, [&counter](size_t) { counter++; });
+    EXPECT_EQ(pool.queue_depth(), 4u);
+    blocked.Release();
   }
   EXPECT_EQ(counter.load(), 50);
 }
 
-// Regression: a throwing task used to leave Wait() hanging (the in-flight
-// count was never decremented) and the exception was silently lost.
+// An exception thrown on a worker, not the joiner, is rethrown from the
+// join, and the next batch on the pool does not see it again.
 TEST(ThreadPoolTest, SubmittedTaskExceptionRethrownFromWait) {
   ThreadPool pool(2);
+  std::atomic<bool> thrown{false};
+  ThreadPool::Batch batch = pool.Start(1, [&thrown](size_t) {
+    thrown.store(true);
+    throw std::runtime_error("task boom");
+  });
+  WaitUntil([&] { return thrown.load(); });
+  EXPECT_THROW(batch.Join(), std::runtime_error);
   std::atomic<int> after{0};
-  pool.Submit([] { throw std::runtime_error("task boom"); });
-  pool.Submit([&after] { after++; });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(after.load(), 1);  // remaining tasks still ran
-  // The pool is reusable after an exception; the error does not stick.
-  pool.Submit([&after] { after++; });
-  pool.Wait();
-  EXPECT_EQ(after.load(), 2);
+  pool.Start(10, [&after](size_t) { after++; }).Join();
+  EXPECT_EQ(after.load(), 10);
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsBodyException) {
@@ -131,18 +178,16 @@ TEST(ThreadPoolTest, ParallelForTinyRangeCoversAll) {
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-// A task running on the pool may start and join a batch on the *same*
-// pool. Joiner participation means this cannot deadlock even when every
-// worker is occupied by an outer task.
+// A batch body running on the pool may start and join a batch on the
+// *same* pool. Joiner participation means this cannot deadlock even when
+// every worker is occupied by an outer body.
 TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
-  for (int t = 0; t < 4; ++t) {
-    pool.Submit([&pool, &inner_total] {
-      pool.ParallelFor(25, [&inner_total](size_t) { inner_total++; });
-    });
-  }
-  pool.Wait();
+  pool.Start(4, [&pool, &inner_total](size_t) {
+        pool.ParallelFor(25, [&inner_total](size_t) { inner_total++; });
+      })
+      .Join();
   EXPECT_EQ(inner_total.load(), 4 * 25);
 }
 
@@ -151,24 +196,16 @@ TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
 // the joining thread, while the worker stays blocked.
 TEST(ThreadPoolTest, JoinCompletesBatchWhileTheOnlyWorkerIsBlocked) {
   ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::atomic<bool> worker_released{false};
-  pool.Submit([opened, &worker_released] {
-    opened.wait();
-    worker_released.store(true);
-  });
+  BlockedWorkers blocked(pool);
   std::vector<std::atomic<int>> touched(10);
   ThreadPool::Batch batch =
       pool.Start(touched.size(), [&touched](size_t i) { touched[i]++; });
   EXPECT_TRUE(batch.active());
   batch.Join();
   EXPECT_FALSE(batch.active());
-  EXPECT_FALSE(worker_released.load());
+  EXPECT_EQ(pool.busy_workers(), 1u);
   for (auto& t : touched) EXPECT_EQ(t.load(), 1);
-  gate.set_value();
-  pool.Wait();  // the batch's helper finds nothing left to claim
-  EXPECT_TRUE(worker_released.load());
+  blocked.Release();  // the batch's helper finds nothing left to claim
 }
 
 // Join rethrows the first exception the body threw. With the only worker
@@ -176,9 +213,7 @@ TEST(ThreadPoolTest, JoinCompletesBatchWhileTheOnlyWorkerIsBlocked) {
 // deterministic; the throw abandons only the rest of its own chunk.
 TEST(ThreadPoolTest, JoinRethrowsFirstException) {
   ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.Submit([opened] { opened.wait(); });
+  BlockedWorkers blocked(pool);
   std::atomic<int> completed{0};
   ThreadPool::Batch batch = pool.Start(20, [&completed](size_t i) {
     if (i == 3 || i == 17) {
@@ -196,17 +231,13 @@ TEST(ThreadPoolTest, JoinRethrowsFirstException) {
   // 20 indices in 4 chunks of 5: the throws abandon items 3 and 4 of
   // chunk [0,5) and items 17 to 19 of chunk [15,20).
   EXPECT_EQ(completed.load(), 15);
-  gate.set_value();
-  pool.Wait();
 }
 
 // A handle dropped without a Join, by destruction or by assigning another
 // batch over it, joins it: every index has run when it is gone.
 TEST(ThreadPoolTest, DroppedBatchIsJoined) {
   ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.Submit([opened] { opened.wait(); });
+  BlockedWorkers blocked(pool);
   std::atomic<int> first{0};
   std::atomic<int> second{0};
   {
@@ -216,35 +247,37 @@ TEST(ThreadPoolTest, DroppedBatchIsJoined) {
     EXPECT_EQ(first.load(), 8);
   }
   EXPECT_EQ(second.load(), 8);
-  ThreadPool::Batch empty = pool.Start(0, [](size_t) { FAIL(); });
-  EXPECT_FALSE(empty.active());
-  gate.set_value();
-  pool.Wait();
 }
 
 // ParallelFor's caller joins at once and claims a chunk itself, so it
 // queues one helper fewer than Start, whose caller may join much later:
-// three chunks on four workers take two helper tasks, or three.
+// three chunks on four workers take two helper tasks, or three. With every
+// worker blocked, the helpers stay queued where queue_depth() counts them.
 TEST(ThreadPoolTest, ParallelForQueuesOneHelperFewerThanStart) {
   ThreadPool pool(4);
-  const uint64_t before = pool.tasks_executed();
+  BlockedWorkers blocked(pool);
+  EXPECT_EQ(pool.queue_depth(), 0u);
   pool.ParallelFor(3, [](size_t) {});
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_executed() - before, 2u);
+  EXPECT_EQ(pool.queue_depth(), 2u);
   pool.Start(3, [](size_t) {}).Join();
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_executed() - before, 5u);
+  EXPECT_EQ(pool.queue_depth(), 5u);
 }
 
 TEST(ThreadPoolTest, IntrospectionCountersAdvance) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.num_threads(), 2u);
-  uint64_t tasks_before = pool.tasks_executed();
-  for (int i = 0; i < 10; ++i) pool.Submit([] {});
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_executed() - tasks_before, 10u);
+  const uint64_t tasks_before = pool.tasks_executed();
+  {
+    BlockedWorkers blocked(pool);
+    EXPECT_EQ(pool.busy_workers(), 2u);
+    EXPECT_EQ(pool.queue_depth(), 0u);
+  }
+  // Both helpers finish their task just after the join returns.
+  WaitUntil([&] {
+    return pool.tasks_executed() - tasks_before == 2 &&
+           pool.busy_workers() == 0;
+  });
   EXPECT_EQ(pool.queue_depth(), 0u);
-  EXPECT_EQ(pool.busy_workers(), 0u);
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ struct RunConfig {
   bool bam = false;
   uint32_t host_threads = 1;
   int window_depth = 8;
-  bool auto_window_depth = false;
   /// On this rig 0.95 merges two or three iterations per group, and 0.5
   /// one.
   double accumulator_target = 0.95;
@@ -79,7 +78,6 @@ GidsOptions MakeOptions(const RunConfig& cfg) {
   GidsOptions opts = cfg.bam ? GidsOptions::Bam() : GidsOptions{};
   opts.host_threads = cfg.host_threads;
   opts.window_depth = cfg.window_depth;
-  opts.auto_window_depth = cfg.auto_window_depth;
   opts.accumulator_target = cfg.accumulator_target;
   return opts;
 }
@@ -181,7 +179,7 @@ uint32_t MaxGroup(const RunCapture& cap) {
 }
 
 // Every host_threads against the one-thread run, across window depths
-// (none, the paper's 8, automatic) and accumulator groups of one and of
+// (none, the paper's 8, a shallow 3) and accumulator groups of one and of
 // several iterations. Exactly the consumed groups are prepared, so the
 // end-of-run totals are part of the contract too; and the look-ahead
 // never holds more than group + window + threads + 1 iterations, pending
@@ -189,22 +187,19 @@ uint32_t MaxGroup(const RunCapture& cap) {
 TEST(HostParallelDeterminismTest, GidsThreadsDoNotChangeResults) {
   struct Shape {
     int window_depth;
-    bool auto_window_depth;
     double accumulator_target;
   };
   bool merged_groups_seen = false;
-  for (const Shape& shape : {Shape{0, false, 0.95}, Shape{8, false, 0.95},
-                             Shape{8, true, 0.95}, Shape{8, false, 0.5}}) {
+  for (const Shape& shape : {Shape{0, 0.95}, Shape{8, 0.95}, Shape{3, 0.95},
+                             Shape{8, 0.5}}) {
     RunConfig cfg;
     cfg.window_depth = shape.window_depth;
-    cfg.auto_window_depth = shape.auto_window_depth;
     cfg.accumulator_target = shape.accumulator_target;
     RunCapture serial = RunLoader(cfg, kIterations);
     merged_groups_seen |= MaxGroup(serial) > 1;
     for (uint32_t threads : {2u, 3u, 8u}) {
       SCOPED_TRACE(::testing::Message()
-                   << "window " << shape.window_depth << " auto "
-                   << shape.auto_window_depth << " target "
+                   << "window " << shape.window_depth << " target "
                    << shape.accumulator_target << " threads " << threads);
       cfg.host_threads = threads;
       RunCapture threaded = RunLoader(cfg, kIterations);

@@ -119,18 +119,6 @@ TEST(PipelineInvariantsTest, SameSeedsSameBatchesAcrossLoaders) {
   }
 }
 
-TEST(PipelineInvariantsTest, AutoWindowDepthResolves) {
-  LoaderRig rig;
-  GidsOptions opts;
-  opts.counting_mode = true;
-  opts.auto_window_depth = true;
-  GidsLoader loader(rig.dataset.get(), rig.sampler.get(), rig.seeds.get(),
-                    rig.system.get(), opts);
-  ASSERT_TRUE(loader.Next().ok());
-  EXPECT_GE(loader.window_depth(), 2);
-  EXPECT_LE(loader.window_depth(), 32);
-}
-
 TEST(PipelineInvariantsTest, QueueDepthCapsOutstanding) {
   LoaderRig rig;
   GidsOptions opts;

@@ -82,26 +82,5 @@ TEST(WindowBufferTest, CountersDrainThroughGather) {
   }
 }
 
-TEST(AutoWindowDepthTest, ScalesWithCacheToMinibatchRatio) {
-  // cache == minibatch -> depth 2; cache == 4 minibatches -> depth 8.
-  EXPECT_EQ(AutoWindowDepth(100, 100), 2);
-  EXPECT_EQ(AutoWindowDepth(400, 100), 8);
-  EXPECT_EQ(AutoWindowDepth(800, 100), 16);
-}
-
-TEST(AutoWindowDepthTest, ClampedToBounds) {
-  EXPECT_EQ(AutoWindowDepth(1, 1000), 2);      // tiny cache
-  EXPECT_EQ(AutoWindowDepth(1000000, 1), 32);  // huge cache
-  EXPECT_EQ(AutoWindowDepth(100, 0), 2);       // degenerate minibatch
-}
-
-TEST(WindowBufferTest, IdListBytes) {
-  graph::FeatureStore fs(1000, 1024);
-  storage::SoftwareCache cache(64 * 4096, 4096, fs.num_pages());
-  WindowBuffer window(&cache, &fs);
-  sampling::MiniBatch batch = BatchWithInputs({1, 2, 3, 4});
-  EXPECT_EQ(window.IdListBytes(batch), 4 * sizeof(graph::NodeId));
-}
-
 }  // namespace
 }  // namespace gids::core

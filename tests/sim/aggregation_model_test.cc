@@ -116,25 +116,6 @@ TEST(AggregationModelTest, FeatureByteAccounting) {
   EXPECT_EQ(t.feature_bytes, 60u * 4096u);
 }
 
-TEST(AggregationModelTest, EventDrivenAgreesWithEstimate) {
-  SystemConfig cfg = SystemConfig::Paper(SsdSpec::IntelOptane(), 2);
-  SystemModel estimate_sys(cfg);
-  cfg.event_driven_ssd = true;
-  SystemModel des_sys(cfg);
-
-  AggregationCounts c;
-  c.ssd_reads = 50000;
-  c.cpu_buffer_hits = 20000;
-  c.gpu_cache_hits = 10000;
-  c.outstanding_accesses = 4000;
-  AggregationTiming est = ComputeAggregationTiming(estimate_sys, c);
-  AggregationTiming des = ComputeAggregationTiming(des_sys, c);
-  EXPECT_NEAR(static_cast<double>(des.total_ns),
-              static_cast<double>(est.total_ns), 0.12 * est.total_ns);
-  EXPECT_NEAR(des.effective_bandwidth_bps, est.effective_bandwidth_bps,
-              0.12 * est.effective_bandwidth_bps);
-}
-
 class MoreSsdsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MoreSsdsTest, SsdBandwidthScalesUntilPcie) {

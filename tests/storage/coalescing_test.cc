@@ -13,7 +13,6 @@
 
 #include "core/gids_loader.h"
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/software_cache.h"
@@ -42,8 +41,7 @@ struct CoalesceRig {
     cache = std::make_unique<SoftwareCache>(
         cache_lines * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
         /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(),
+    gatherer = std::make_unique<FeatureGatherer>(&fs, array.get(), cache.get(),
                                                  /*hot_buffer=*/nullptr,
                                                  coalesce);
   }
@@ -51,7 +49,6 @@ struct CoalesceRig {
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 

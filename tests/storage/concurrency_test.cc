@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/page_integrity.h"
@@ -205,14 +204,13 @@ struct GatherRig {
     cache = std::make_unique<SoftwareCache>(
         cache_lines * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
         /*seed=*/0xcac4e, /*store_payloads=*/true, num_shards);
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
+    gatherer =
+        std::make_unique<FeatureGatherer>(&fs, array.get(), cache.get());
   }
 
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 
@@ -293,7 +291,7 @@ std::unique_ptr<StorageArray> ReceiptArray(const graph::FeatureStore& fs) {
 }
 
 // Runs a fixed sequence of two-slice GatherGroup calls through a gatherer
-// stack of its own (cache, BamArray) over `array`, and returns each
+// stack of its own (cache, gatherer) over `array`, and returns each
 // call's receipt. `which` picks the node lists and the coalescing mode.
 std::vector<GatherReceipt> ReceiptSequence(const graph::FeatureStore& fs,
                                            StorageArray* array, int which) {
@@ -301,8 +299,7 @@ std::vector<GatherReceipt> ReceiptSequence(const graph::FeatureStore& fs,
                       fs.page_bytes(), fs.num_pages(),
                       /*seed=*/0xcac4e + which, /*store_payloads=*/true,
                       /*num_shards=*/4);
-  BamArray bam(array, &cache);
-  FeatureGatherer gatherer(&fs, &bam, /*hot_buffer=*/nullptr,
+  FeatureGatherer gatherer(&fs, array, &cache, /*hot_buffer=*/nullptr,
                            /*coalesce_pages=*/which == 1);
   std::vector<GatherReceipt> receipts;
   for (uint64_t call = 0; call < 6; ++call) {

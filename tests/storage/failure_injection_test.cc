@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/feature_gather.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
@@ -49,14 +48,13 @@ struct FlakyRig {
         std::make_unique<FlakyBlockDevice>(std::move(real), period),
         sim::SsdSpec::IntelOptane(), 1);
     cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, fs.num_pages());
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
+    gatherer =
+        std::make_unique<FeatureGatherer>(&fs, array.get(), cache.get());
   }
 
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 

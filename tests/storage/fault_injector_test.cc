@@ -9,7 +9,6 @@
 #include "core/gids_loader.h"
 #include "graph/feature_store.h"
 #include "obs/metric_registry.h"
-#include "storage/bam_array.h"
 #include "storage/feature_gather.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
@@ -35,14 +34,13 @@ struct FaultRig {
     cache = std::make_unique<SoftwareCache>(16 * 4096, 4096, fs.num_pages(),
                                             0xcac4e, /*store_payloads=*/true,
                                             shards);
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
+    gatherer =
+        std::make_unique<FeatureGatherer>(&fs, array.get(), cache.get());
   }
 
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/software_cache.h"
 
 namespace gids::storage {
@@ -16,7 +15,8 @@ namespace {
 struct GatherRig {
   explicit GatherRig(uint32_t dim, graph::NodeId nodes = 100,
                      uint64_t cache_bytes = 16 * 4096,
-                     const HotNodeBuffer* hot = nullptr)
+                     const HotNodeBuffer* hot = nullptr,
+                     bool coalesce = false)
       : fs(nodes, dim) {
     auto dev = std::make_unique<FunctionBlockDevice>(
         fs.num_pages(), fs.page_bytes(),
@@ -27,14 +27,13 @@ struct GatherRig {
                                            sim::SsdSpec::IntelOptane(), 1);
     cache = std::make_unique<SoftwareCache>(cache_bytes, fs.page_bytes(),
                                             fs.num_pages());
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(), hot);
+    gatherer = std::make_unique<FeatureGatherer>(&fs, array.get(),
+                                                 cache.get(), hot, coalesce);
   }
 
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 
@@ -181,8 +180,7 @@ TEST(CoalescingGatherTest, RepeatedNodeServedOnce) {
   // dim 1024: node i occupies exactly page i. The same node three times
   // costs one storage round-trip; the two duplicates are folded away, not
   // served as cache hits.
-  GatherRig rig(1024);
-  rig.gatherer->set_coalesce_pages(true);
+  GatherRig rig(1024, 100, 16 * 4096, nullptr, /*coalesce=*/true);
   std::vector<graph::NodeId> nodes = {5, 5, 5};
   FeatureGatherCounts counts;
   auto out = rig.gatherer->Gather(nodes, &counts);
@@ -207,8 +205,7 @@ TEST(CoalescingGatherTest, PageSpanningRowsShareBoundaryPages) {
   // dim 768: nodes 0..3 generate 6 page accesses over 3 distinct pages
   // (each interior page is shared by two adjacent rows). Coalescing must
   // service each page once and still fill both rows' slices correctly.
-  GatherRig rig(768);
-  rig.gatherer->set_coalesce_pages(true);
+  GatherRig rig(768, 100, 16 * 4096, nullptr, /*coalesce=*/true);
   std::vector<graph::NodeId> nodes = {0, 1, 2, 3};
   FeatureGatherCounts counts;
   auto out = rig.gatherer->Gather(nodes, &counts);
@@ -240,10 +237,8 @@ TEST(CoalescingGatherTest, OffByDefaultAndCountersStayZero) {
 }
 
 TEST(CoalescingGatherTest, CountsOnlyMatchesFullGather) {
-  GatherRig full_rig(1024, 200, 8 * 4096);
-  GatherRig count_rig(1024, 200, 8 * 4096);
-  full_rig.gatherer->set_coalesce_pages(true);
-  count_rig.gatherer->set_coalesce_pages(true);
+  GatherRig full_rig(1024, 200, 8 * 4096, nullptr, /*coalesce=*/true);
+  GatherRig count_rig(1024, 200, 8 * 4096, nullptr, /*coalesce=*/true);
   Rng rng(11);
   for (int round = 0; round < 20; ++round) {
     std::vector<graph::NodeId> nodes;
@@ -296,8 +291,7 @@ TEST(GatherGroupTest, CoalescesAcrossSlices) {
   // The accumulator-merged case: the same node in two merged iterations
   // costs one round-trip. The serviced read is charged to the slice of the
   // first requester; the later slice books a coalesced request.
-  GatherRig rig(1024);
-  rig.gatherer->set_coalesce_pages(true);
+  GatherRig rig(1024, 100, 16 * 4096, nullptr, /*coalesce=*/true);
   std::vector<graph::NodeId> first = {7};
   std::vector<graph::NodeId> second = {7};
   std::vector<float> out_a(1024);
@@ -393,21 +387,6 @@ TEST(GatherCostTest, SplitsKernelComponentsIntoExactShares) {
   EXPECT_EQ(cost.MemberLedger(0).crc_verify_ns, 34);
   EXPECT_EQ(cost.MemberLedger(1).crc_verify_ns, 34);
   EXPECT_EQ(cost.MemberLedger(2).crc_verify_ns, 33);
-}
-
-TEST(BamArrayTest, CachelessArrayAlwaysReadsStorage) {
-  graph::FeatureStore fs(10, 1024);
-  auto dev = std::make_unique<FunctionBlockDevice>(
-      fs.num_pages(), fs.page_bytes(),
-      [&fs](uint64_t lba, std::span<std::byte> out) { fs.FillPage(lba, out); });
-  StorageArray arr(std::move(dev), sim::SsdSpec::IntelOptane(), 1);
-  BamArray bam(&arr, nullptr);
-  std::vector<std::byte> out(4096);
-  GatherCounts counts;
-  ASSERT_TRUE(bam.ReadPage(3, out, &counts).ok());
-  ASSERT_TRUE(bam.ReadPage(3, out, &counts).ok());
-  EXPECT_EQ(counts.storage_reads, 2u);
-  EXPECT_EQ(counts.cache_hits, 0u);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // coalescing). Each cache shard sees the same page sequence either way, so
 // the two must agree on every observable: payload bytes, per-slice
 // counts, the receipt, cache stats, residency and pins, and the storage
-// array's totals.
+// array's totals. ShardReplay does its own cache-then-storage read of each
+// page, so the oracle shares no service code with the gatherer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,13 +16,13 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/feature_store.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/page_integrity.h"
@@ -46,9 +47,9 @@ class EverySeventhHot : public HotNodeBuffer {
 };
 
 /// The deleted parallel gather, serially: see the file comment.
-Status ShardReplay(const graph::FeatureStore& fs, BamArray* array,
-                   const HotNodeBuffer* hot, bool coalesce,
-                   std::span<const GatherSlice> slices,
+Status ShardReplay(const graph::FeatureStore& fs, StorageArray* ssd,
+                   SoftwareCache* cache, const HotNodeBuffer* hot,
+                   bool coalesce, std::span<const GatherSlice> slices,
                    std::span<FeatureGatherCounts> per_slice,
                    GatherReceipt* receipt) {
   struct Access {
@@ -58,14 +59,11 @@ Status ShardReplay(const graph::FeatureStore& fs, BamArray* array,
   };
   const uint32_t dim = fs.feature_dim();
   const uint64_t page_bytes = fs.page_bytes();
-  const SoftwareCache* cache = array->cache();
-  const StorageArray* ssd = array->storage();
   bool functional = false;
   for (const GatherSlice& sl : slices) functional |= !sl.out.empty();
 
   // Phase 1: hot rows, and every other access bucketed by cache shard.
-  std::vector<std::vector<Access>> buckets(
-      cache != nullptr ? cache->num_shards() : 1);
+  std::vector<std::vector<Access>> buckets(cache->num_shards());
   std::vector<FeatureGatherCounts> counts(slices.size());
   for (uint32_t s = 0; s < slices.size(); ++s) {
     const GatherSlice& sl = slices[s];
@@ -80,8 +78,7 @@ Status ShardReplay(const graph::FeatureStore& fs, BamArray* array,
         continue;
       }
       for (uint64_t page = range.first; page <= range.last; ++page) {
-        const uint32_t b = cache != nullptr ? cache->ShardFor(page) : 0;
-        buckets[b].push_back(Access{page, i, s});
+        buckets[cache->ShardFor(page)].push_back(Access{page, i, s});
       }
     }
   }
@@ -95,13 +92,23 @@ Status ShardReplay(const graph::FeatureStore& fs, BamArray* array,
   GatherReceipt total;
   auto service = [&](uint64_t page, uint32_t slice, uint32_t reuses,
                      bool* failed, bool* is_corrupt) {
-    GatherCounts gc;
+    if (cache->Lookup(page, page_buf, reuses)) {
+      ++counts[slice].gpu_cache_hits;
+      return Status::OK();
+    }
     StorageArray::ReadOutcome oc;
-    Status st = array->ReadPage(page, page_buf, &gc, reuses, &oc);
+    Status st = ssd->ReadPage(page, page_buf, &oc);
     const bool degraded = st.code() == StatusCode::kUnavailable;
     *is_corrupt = st.code() == StatusCode::kDataLoss;
     if (!st.ok() && !degraded && !*is_corrupt) return st;
     *failed = degraded || *is_corrupt;
+    if (st.ok()) {
+      ++counts[slice].storage_reads;
+      cache->Insert(page, page_buf,
+                    oc.crc_known ? std::optional<uint32_t>(oc.crc)
+                                 : std::nullopt,
+                    oc.served_corrupt);
+    }
     total.retry_penalty_ns += oc.penalty_ns;
     total.crc_verify_ns += oc.crc_ns;
     if (*failed) total.degraded_penalty_ns += oc.penalty_ns - oc.crc_ns;
@@ -109,8 +116,6 @@ Status ShardReplay(const graph::FeatureStore& fs, BamArray* array,
       ++from_device[ssd->DeviceFor(page)];
       ++to_replica[oc.served_replica];
     }
-    counts[slice].gpu_cache_hits += gc.cache_hits;
-    counts[slice].storage_reads += gc.storage_reads;
     return Status::OK();
   };
   auto deliver = [&](const Access& a, bool failed, bool is_corrupt) {
@@ -194,7 +199,7 @@ struct OracleConfig {
   int replication_factor = 1;
 };
 
-/// One storage stack (array, cache, BamArray) over a shared layout.
+/// One storage stack (array and cache) over a shared layout.
 struct Stack {
   Stack(const graph::FeatureStore& fs, const OracleConfig& cfg) {
     auto dev = std::make_unique<FunctionBlockDevice>(
@@ -216,12 +221,10 @@ struct Stack {
     cache = std::make_unique<SoftwareCache>(
         48 * fs.page_bytes(), fs.page_bytes(), fs.num_pages(),
         /*seed=*/0xcac4e, /*store_payloads=*/cfg.payload, cfg.shards);
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
   }
 
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
 };
 
 /// Deterministic node list: half its draws from a small hot range, so
@@ -262,7 +265,8 @@ void ExpectMatchesShardReplay(const OracleConfig& cfg) {
   EverySeventhHot hot(&fs);
   Stack one_pass(fs, cfg);
   Stack replay(fs, cfg);
-  FeatureGatherer gatherer(&fs, one_pass.bam.get(), &hot, cfg.coalesce);
+  FeatureGatherer gatherer(&fs, one_pass.array.get(), one_pass.cache.get(),
+                           &hot, cfg.coalesce);
 
   FeatureGatherCounts run_totals;
   for (int call = 0; call < kCalls; ++call) {
@@ -297,8 +301,8 @@ void ExpectMatchesShardReplay(const OracleConfig& cfg) {
     GatherReceipt receipt_a;
     GatherReceipt receipt_b;
     ASSERT_TRUE(gatherer.GatherGroup(slices_a, counts_a, &receipt_a).ok());
-    ASSERT_TRUE(ShardReplay(fs, replay.bam.get(), &hot, cfg.coalesce,
-                            slices_b, counts_b, &receipt_b)
+    ASSERT_TRUE(ShardReplay(fs, replay.array.get(), replay.cache.get(), &hot,
+                            cfg.coalesce, slices_b, counts_b, &receipt_b)
                     .ok());
     EXPECT_EQ(out_a, out_b) << "call " << call;
     for (size_t s = 0; s < lists.size(); ++s) {

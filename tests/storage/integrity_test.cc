@@ -9,7 +9,6 @@
 #include "core/gids_loader.h"
 #include "graph/feature_store.h"
 #include "obs/metric_registry.h"
-#include "storage/bam_array.h"
 #include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
 #include "storage/page_integrity.h"
@@ -42,14 +41,13 @@ struct IntegrityRig {
                              integrity.verify_cache_fill,
                              integrity.verify_cache_hit);
     }
-    bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get());
+    gatherer =
+        std::make_unique<FeatureGatherer>(&fs, array.get(), cache.get());
   }
 
   graph::FeatureStore fs;
   std::unique_ptr<StorageArray> array;
   std::unique_ptr<SoftwareCache> cache;
-  std::unique_ptr<BamArray> bam;
   std::unique_ptr<FeatureGatherer> gatherer;
 };
 

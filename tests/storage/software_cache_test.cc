@@ -191,14 +191,6 @@ TEST(SoftwareCacheTest, HitRatioStat) {
   EXPECT_NEAR(cache.stats().HitRatio(), 2.0 / 3.0, 1e-9);
 }
 
-TEST(SoftwareCacheTest, ResetStats) {
-  SoftwareCache cache(8 * 64, 64, kNumPages);
-  cache.Lookup(1);
-  cache.ResetStats();
-  EXPECT_EQ(cache.stats().lookups, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
 TEST(SoftwareCacheTest, StressResidencyNeverExceedsCapacity) {
   SoftwareCache cache(32 * 64, 64, kNumPages, /*seed=*/5,
                       /*store_payloads=*/false);

@@ -58,14 +58,6 @@ TEST(StorageArrayTest, NoteReadCountsWithoutData) {
   EXPECT_EQ(arr->reads_on_device(1), 1u);
 }
 
-TEST(StorageArrayTest, ResetCounters) {
-  auto arr = MakeArray(1);
-  ASSERT_TRUE(arr->ReadPage(0, {}).ok());
-  arr->ResetCounters();
-  EXPECT_EQ(arr->total_reads(), 0u);
-  EXPECT_EQ(arr->reads_on_device(0), 0u);
-}
-
 TEST(StorageArrayTest, OutOfRangePropagates) {
   auto arr = MakeArray(1, /*pages=*/4);
   std::vector<std::byte> out(128);

@@ -18,6 +18,13 @@
 #      CachePolicyKind enum (src/storage/cache_policy.h) must have
 #      exactly as many enumerators as the parse table has names — a new
 #      policy cannot land unnamed or undocumented.
+#   4. Every <module>/<file>.h or .cc path named in a document that
+#      describes the current code (README.md, DESIGN.md, CACHING.md,
+#      FAULTS.md, INTEGRITY.md, OBSERVABILITY.md, EXPERIMENTS.md), where
+#      <module> is one of src/'s directories, must exist under src/ or
+#      tests/, so the docs cannot name a deleted or renamed file. Change
+#      records and plans may name old or future files, and perfbench/ is
+#      changed only with the benchmark, so neither is checked.
 #
 #   tools/docs_lint.sh            # lint everything
 set -euo pipefail
@@ -105,6 +112,19 @@ if [ "$enum_count" -ne "$name_count" ]; then
   echo "docs-lint: CachePolicyKind has $enum_count enumerators but the parse table in src/storage/cache_policy.cc names $name_count"
   fail=1
 fi
+
+# --- 4. source paths named in the docs exist -------------------------------
+modules=$(cd src && ls -d -- */ | tr -d / | paste -sd'|' -)
+for md in README.md DESIGN.md CACHING.md FAULTS.md INTEGRITY.md \
+          OBSERVABILITY.md EXPERIMENTS.md; do
+  while IFS= read -r path; do
+    if [ ! -e "src/$path" ] && [ ! -e "tests/$path" ]; then
+      echo "docs-lint: $md names $path, which is under neither src/ nor tests/"
+      fail=1
+    fi
+  done < <(grep -oP "(?<![A-Za-z0-9_])($modules)/[A-Za-z0-9_]+\.(h|cc)(?![A-Za-z0-9_])" \
+             "$md" | sort -u)
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs-lint: FAILED"

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,7 +59,9 @@ using namespace gids;
 
 // --- Minimal flag parsing: --key value, --key=value, and boolean --key.
 // Every accessor records the name it was asked for, so RejectUnread() can
-// name the flags the subcommand never read.
+// name the flags the subcommand never read. A bare --key (the last
+// argument, or followed by another --flag) has no value: GetBool accepts
+// it, and every value accessor exits with status 2.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -76,12 +79,13 @@ class Flags {
                  std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
-        values_[key] = "true";
+        values_[key] = std::nullopt;
       }
     }
   }
 
-  std::string Get(const std::string& key, const std::string& fallback) const {
+  std::string Get(const std::string& key,
+                  const std::string& fallback = "") const {
     const std::string* value = Find(key);
     return value == nullptr ? fallback : *value;
   }
@@ -127,7 +131,11 @@ class Flags {
     }
     return out;
   }
-  bool GetBool(const std::string& key) const { return Find(key) != nullptr; }
+  bool GetBool(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) != 0;
+  }
+  /// True if the value flag `key` was given.
   bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   /// Exits with status 2, one message per flag, if any flag given was
@@ -144,10 +152,18 @@ class Flags {
   }
 
  private:
+  /// The value of flag `key`, or null if it was not given. A bare `key`
+  /// exits with status 2.
   const std::string* Find(const std::string& key) const {
     read_.insert(key);
     auto it = values_.find(key);
-    return it == values_.end() ? nullptr : &it->second;
+    if (it == values_.end()) return nullptr;
+    if (!it->second.has_value()) {
+      std::fprintf(stderr, "gids_cli: flag --%s needs a value\n",
+                   key.c_str());
+      std::exit(2);
+    }
+    return &*it->second;
   }
   static bool ParseLong(const std::string& text, long min, long max,
                         long* out) {
@@ -164,7 +180,7 @@ class Flags {
     std::exit(2);
   }
 
-  std::map<std::string, std::string> values_;
+  std::map<std::string, std::optional<std::string>> values_;
   mutable std::set<std::string> read_;
 };
 
@@ -181,7 +197,7 @@ StatusOr<graph::DatasetSpec> SpecByName(const std::string& name) {
 
 StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
   if (flags.Has("in")) {
-    return graph::LoadDataset(flags.Get("in", ""));
+    return graph::LoadDataset(flags.Get("in"));
   }
   GIDS_ASSIGN_OR_RETURN(graph::DatasetSpec spec,
                         SpecByName(flags.Get("dataset", "IGB-tiny")));
@@ -210,7 +226,7 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdInfo(const Flags& flags) {
-  const std::string path = flags.Get("in", "");
+  const std::string path = flags.Get("in");
   flags.RejectUnread();
   auto dataset = graph::LoadDataset(path);
   if (!dataset.ok()) {
@@ -249,10 +265,16 @@ int CmdRun(const Flags& flags) {
   const long measure = flags.GetCount("measure", 30);
   // Written after the run, but read now so RejectUnread() below sees them
   // (--prom-buckets only with --metrics-prom, the file it formats).
-  const std::string csv_path = flags.Get("csv", "");
-  const std::string des_trace_path = flags.Get("trace", "");
+  const std::string csv_path = flags.Get("csv");
+  const std::string des_trace_path = flags.Get("trace");
   const bool prom_buckets =
       flags.Has("metrics-prom") && flags.GetBool("prom-buckets");
+  const std::string ssd_name = flags.Get("ssd", "optane");
+  if (ssd_name != "optane" && ssd_name != "samsung") {
+    std::fprintf(stderr, "gids_cli: unknown --ssd '%s' (optane, samsung)\n",
+                 ssd_name.c_str());
+    return 2;
+  }
   auto dataset_or = ResolveDataset(flags);
   if (!dataset_or.ok()) {
     std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
@@ -260,7 +282,6 @@ int CmdRun(const Flags& flags) {
   }
   graph::Dataset dataset = std::move(dataset_or).value();
 
-  std::string ssd_name = flags.Get("ssd", "optane");
   sim::SsdSpec ssd = ssd_name == "samsung" ? sim::SsdSpec::Samsung980Pro()
                                            : sim::SsdSpec::IntelOptane();
   sim::SystemConfig cfg = sim::SystemConfig::Paper(
@@ -388,7 +409,7 @@ int CmdRun(const Flags& flags) {
     }
     // Cache policy selection (CACHING.md); random unless named.
     if (flags.Has("cache-policy")) {
-      std::string policy_name = flags.Get("cache-policy", "");
+      std::string policy_name = flags.Get("cache-policy");
       storage::CachePolicyKind policy_kind;
       if (!storage::ParseCachePolicyKind(policy_name, &policy_kind)) {
         std::fprintf(stderr,
@@ -530,7 +551,7 @@ int CmdRun(const Flags& flags) {
   }
 
   if (flags.Has("metrics-json")) {
-    std::string path = flags.Get("metrics-json", "metrics.json");
+    std::string path = flags.Get("metrics-json");
     Status s = metrics.WriteJson(path);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -540,7 +561,7 @@ int CmdRun(const Flags& flags) {
                 metrics.Snapshot().size());
   }
   if (flags.Has("metrics-prom")) {
-    std::string path = flags.Get("metrics-prom", "metrics.prom");
+    std::string path = flags.Get("metrics-prom");
     // --prom-buckets switches histograms from quantile summaries to native
     // cumulative _bucket{le=...} exposition (OBSERVABILITY.md).
     Status s = metrics.WritePrometheusText(path, prom_buckets);
@@ -552,7 +573,7 @@ int CmdRun(const Flags& flags) {
                 metrics.Snapshot().size());
   }
   if (flags.Has("trace-json")) {
-    std::string path = flags.Get("trace-json", "trace.json");
+    std::string path = flags.Get("trace-json");
     Status s = trace.WriteJson(path);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -562,7 +583,7 @@ int CmdRun(const Flags& flags) {
                 path.c_str(), trace.num_events());
   }
   if (flags.Has("timeline-json")) {
-    std::string path = flags.Get("timeline-json", "timeline.json");
+    std::string path = flags.Get("timeline-json");
     obs::TimelineExtras extras;
     extras.failover_exemplars = failover_exemplars.get();
     extras.journal_json = journal_json;
@@ -578,7 +599,7 @@ int CmdRun(const Flags& flags) {
                 path.c_str());
   }
   if (flags.Has("timeline-csv")) {
-    std::string path = flags.Get("timeline-csv", "timeline.csv");
+    std::string path = flags.Get("timeline-csv");
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -654,7 +675,7 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdReport(const Flags& flags) {
-  const std::string path = flags.Get("in", "");
+  const std::string path = flags.Get("in");
   const size_t top_k = static_cast<size_t>(
       std::max<long>(1, flags.GetCount("report-top-k", 5)));
   flags.RejectUnread();
