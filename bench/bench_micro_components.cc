@@ -1,11 +1,18 @@
 // Host-performance microbenchmarks of the core data structures (real
 // wall-clock throughput of this library's code, not virtual-time results):
 // software-cache operations, sampler throughput, R-MAT generation,
-// reverse PageRank, Belady replay, and the event-driven SSD simulator.
-// Useful for regression-tracking the implementation itself.
+// reverse PageRank, Belady replay, the event-driven SSD simulator, and the
+// two byte kernels of every functional read (CRC-32C and the synthetic
+// page generator). Useful for regression-tracking the implementation
+// itself.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <vector>
+
+#include "common/crc32c.h"
 #include "common/random.h"
+#include "graph/feature_store.h"
 #include "graph/generator.h"
 #include "graph/pagerank.h"
 #include "loaders/belady_cache.h"
@@ -127,6 +134,39 @@ void BM_SsdEventSimulation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SsdEventSimulation)->Arg(1 << 14)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
+// CRC-32C of one 4 KiB page: hardware:1 is Crc32cExtend (the SSE4.2 path
+// where the CPU has it), hardware:0 the portable slice-by-8.
+void BM_Crc32c4KiB(benchmark::State& state) {
+  const bool hardware = state.range(0) != 0;
+  std::vector<std::byte> page(4096);
+  Rng rng(11);
+  for (auto& b : page) b = static_cast<std::byte>(rng.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = hardware ? Crc32cExtend(crc, page.data(), page.size())
+                   : Crc32cExtendPortable(crc, page.data(), page.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_Crc32c4KiB)->ArgName("hardware")->Arg(1)->Arg(0);
+
+// Regenerating one 4 KiB page of an IGB-layout feature file (dim 1024).
+void BM_FillPage(benchmark::State& state) {
+  graph::FeatureStore fs(1 << 16, 1024);
+  std::vector<std::byte> page(fs.page_bytes());
+  uint64_t p = 0;
+  for (auto _ : state) {
+    fs.FillPage(p++ % fs.num_pages(), page);
+    benchmark::DoNotOptimize(page.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_FillPage);
 
 }  // namespace
 }  // namespace gids

@@ -18,9 +18,12 @@ namespace gids::graph {
 /// 512 B, 8 nodes/page, as in ogbn-papers100M), exactly one page (dim
 /// 1024, as in IGB), or span pages (dim 768 -> 3 KiB, as in MAG240M).
 ///
-/// Feature *contents* are synthetic and deterministic: element j of node v
-/// is a pure function of (v, j), so both the functional block device and
-/// in-memory verifiers regenerate identical bytes (see ExpectedElement).
+/// Feature *contents* are synthetic and deterministic: element k = v * dim
+/// + j of the flat feature file (element j of node v) is a pure function
+/// of k, so both the functional block device and in-memory verifiers
+/// regenerate identical bytes (see ExpectedElement). The Fill* calls
+/// generate runs of consecutive elements with one vectorized kernel;
+/// ExpectedElement and ExpectedElementAt are its scalar definition.
 class FeatureStore {
  public:
   FeatureStore(NodeId num_nodes, uint32_t feature_dim,

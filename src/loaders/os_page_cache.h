@@ -28,7 +28,6 @@ class OsPageCache {
 
   uint64_t hits() const { return hits_; }
   uint64_t faults() const { return faults_; }
-  void ResetStats() { hits_ = faults_ = 0; }
 
  private:
   uint64_t capacity_;

@@ -141,6 +141,59 @@ TEST_P(PageConsistencyTest, PagesReconstructFeatures) {
 INSTANTIATE_TEST_SUITE_P(PaperDims, PageConsistencyTest,
                          ::testing::ValuesIn(PaperLayouts()));
 
+uint32_t Bits(float value) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The Fill* calls share one vectorized kernel (a 16-wide inner loop plus a
+// scalar tail), so they are checked bit for bit against the scalar
+// ExpectedElement / ExpectedElementAt rather than against each other. The
+// dims straddle the 16-wide chunk; 37 nodes leave a partial last page in
+// most layouts, and the pages past the end must read as zeros.
+TEST(FeatureStoreTest, FillsMatchScalarElements) {
+  constexpr NodeId kNodes = 37;
+  for (uint32_t page_bytes : {4096u, 512u, 4100u}) {
+    for (uint32_t dim : {1u, 3u, 15u, 16u, 17u, 100u, 128u, 1024u, 1500u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dim " << dim << " page_bytes " << page_bytes);
+      FeatureStore fs(kNodes, dim, page_bytes);
+      const uint64_t elements = static_cast<uint64_t>(kNodes) * dim;
+      const uint64_t per_page = page_bytes / sizeof(float);
+      std::vector<std::byte> page(page_bytes);
+      for (uint64_t p = 0; p <= fs.num_pages() + 1; ++p) {
+        fs.FillPage(p, page);
+        for (uint64_t i = 0; i < per_page; ++i) {
+          const uint64_t k = p * per_page + i;
+          float got = 0;
+          std::memcpy(&got, page.data() + i * sizeof(float), sizeof(got));
+          const float want =
+              k < elements ? fs.ExpectedElement(static_cast<NodeId>(k / dim),
+                                                static_cast<uint32_t>(k % dim))
+                           : 0.0f;
+          ASSERT_EQ(Bits(got), Bits(want)) << "page " << p << " elem " << i;
+        }
+      }
+      std::vector<float> row(dim);
+      for (NodeId v = 0; v < kNodes; ++v) {
+        fs.FillFeature(v, row);
+        for (uint32_t j = 0; j < dim; ++j) {
+          ASSERT_EQ(Bits(row[j]), Bits(fs.ExpectedElement(v, j)))
+              << "node " << v << " elem " << j;
+        }
+        for (uint64_t version : {0u, 1u, 7u}) {
+          fs.FillFeatureAt(v, version, row);
+          for (uint32_t j = 0; j < dim; ++j) {
+            ASSERT_EQ(Bits(row[j]), Bits(fs.ExpectedElementAt(v, j, version)))
+                << "node " << v << " elem " << j << " version " << version;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FeatureStoreTest, TailPageZeroFilled) {
   // 3 nodes x 512 B = 1536 B: one page, rest must be zero.
   FeatureStore fs(3, 128);

@@ -56,14 +56,5 @@ TEST(OsPageCacheTest, ScanLargerThanCapacityAlwaysFaults) {
   EXPECT_EQ(cache.faults(), 48u);
 }
 
-TEST(OsPageCacheTest, ResetStatsKeepsResidency) {
-  OsPageCache cache(4);
-  cache.Access(7);
-  cache.ResetStats();
-  EXPECT_EQ(cache.faults(), 0u);
-  EXPECT_TRUE(cache.Contains(7));
-  EXPECT_TRUE(cache.Access(7));
-}
-
 }  // namespace
 }  // namespace gids::loaders

@@ -275,6 +275,30 @@ int CmdRun(const Flags& flags) {
                  ssd_name.c_str());
     return 2;
   }
+  const std::string kind = flags.Get("loader", "gids");
+  const bool gids_family = kind == "bam" || kind == "gids";
+  if (!gids_family && kind != "mmap" && kind != "ginex") {
+    std::fprintf(stderr,
+                 "gids_cli: unknown loader '%s' (mmap|ginex|bam|gids)\n",
+                 kind.c_str());
+    return 2;
+  }
+  // Cache policy selection (CACHING.md); random unless named. Read only
+  // for the loaders with a GPU cache, so RejectUnread() below names
+  // --cache-policy given to mmap or ginex.
+  std::optional<storage::CachePolicyKind> cache_policy;
+  if (gids_family && flags.Has("cache-policy")) {
+    const std::string policy_name = flags.Get("cache-policy");
+    storage::CachePolicyKind policy_kind = storage::CachePolicyKind::kRandom;
+    if (!storage::ParseCachePolicyKind(policy_name, &policy_kind)) {
+      std::fprintf(stderr,
+                   "gids_cli: unknown --cache-policy '%s' (random, belady, "
+                   "presample)\n",
+                   policy_name.c_str());
+      return 2;
+    }
+    cache_policy = policy_kind;
+  }
   auto dataset_or = ResolveDataset(flags);
   if (!dataset_or.ok()) {
     std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
@@ -323,7 +347,6 @@ int CmdRun(const Flags& flags) {
     exemplars = std::make_unique<obs::ExemplarReservoir>(report_top_k);
   }
 
-  std::string kind = flags.Get("loader", "gids");
   std::unique_ptr<loaders::DataLoader> loader;
   std::vector<graph::NodeId> hot_order;
   if (kind == "mmap") {
@@ -343,7 +366,7 @@ int CmdRun(const Flags& flags) {
     gopts.exemplars = exemplars.get();
     loader = std::make_unique<loaders::GinexLoader>(&dataset, &sampler,
                                                     &seeds, &system, gopts);
-  } else if (kind == "bam" || kind == "gids") {
+  } else {
     core::GidsOptions opts =
         kind == "bam" ? core::GidsOptions::Bam() : core::GidsOptions{};
     opts.counting_mode = true;
@@ -407,20 +430,10 @@ int CmdRun(const Flags& flags) {
           report_top_k, obs::ExemplarReservoir::RankBy::kMostFailovers);
       opts.failover_exemplars = failover_exemplars.get();
     }
-    // Cache policy selection (CACHING.md); random unless named.
-    if (flags.Has("cache-policy")) {
-      std::string policy_name = flags.Get("cache-policy");
-      storage::CachePolicyKind policy_kind;
-      if (!storage::ParseCachePolicyKind(policy_name, &policy_kind)) {
-        std::fprintf(stderr,
-                     "unknown --cache-policy '%s' (random, belady, "
-                     "presample)\n",
-                     policy_name.c_str());
-        return 2;
-      }
-      opts.cache_policy = policy_kind;
+    if (cache_policy) {
+      opts.cache_policy = *cache_policy;
       std::printf("cache policy: %s\n",
-                  storage::CachePolicyKindName(policy_kind));
+                  storage::CachePolicyKindName(*cache_policy));
     }
     opts.presample_iterations =
         static_cast<uint32_t>(flags.GetCount("presample-iters", 32));
@@ -447,10 +460,6 @@ int CmdRun(const Flags& flags) {
     opts.exemplars = exemplars.get();
     loader = std::make_unique<core::GidsLoader>(&dataset, &sampler, &seeds,
                                                 &system, opts);
-  } else {
-    std::fprintf(stderr, "unknown loader '%s' (mmap|ginex|bam|gids)\n",
-                 kind.c_str());
-    return 2;
   }
   flags.RejectUnread();
 
