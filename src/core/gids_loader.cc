@@ -80,9 +80,8 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   auto device = std::make_unique<storage::FunctionBlockDevice>(
       fs.num_pages(), fs.page_bytes(),
       [&fs](uint64_t lba, std::span<std::byte> out) { fs.FillPage(lba, out); });
-  storage_ = std::make_unique<storage::StorageArray>(
-      std::move(device), cfg.ssd, cfg.n_ssd, options_.io_queues,
-      options_.io_queue_depth);
+  storage_ = std::make_unique<storage::StorageArray>(std::move(device),
+                                                     cfg.ssd, cfg.n_ssd);
   storage::RetryPolicy retry;
   retry.max_retries = options_.io_max_retries;
   retry.backoff_initial_ns = options_.io_backoff_ns;

@@ -88,11 +88,6 @@ struct GidsOptions : storage::FaultOptions,
   /// deterministic at any host_threads.
   uint32_t presample_rerank_groups = 0;
 
-  /// IO queue-pair geometry (BaM defaults). The aggregate depth caps the
-  /// outstanding storage accesses the accumulator can maintain.
-  uint32_t io_queues = 128;
-  uint32_t io_queue_depth = 1024;
-
   /// Counting mode skips payload movement (timing-only runs).
   bool counting_mode = false;
 

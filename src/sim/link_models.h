@@ -9,9 +9,7 @@
 namespace gids::sim {
 
 /// A bandwidth-bound interconnect or memory channel (PCIe link, DDR4 DRAM,
-/// HBM2). Transfers are charged bytes / bandwidth plus a base latency;
-/// utilization accounting lets experiments report link ingress bandwidth
-/// (Fig. 9's y-axis is GPU PCIe ingress bandwidth).
+/// HBM2). Transfers are charged bytes / bandwidth plus a base latency.
 class LinkModel {
  public:
   LinkModel(std::string name, double bandwidth_bps, TimeNs base_latency_ns)
@@ -29,11 +27,6 @@ class LinkModel {
            SecToNs(static_cast<double>(bytes) / bandwidth_bps_);
   }
 
-  /// Records traffic for utilization reporting.
-  void RecordTraffic(uint64_t bytes) { total_bytes_ += bytes; }
-  uint64_t total_bytes() const { return total_bytes_; }
-  void ResetTraffic() { total_bytes_ = 0; }
-
   /// PCIe Gen4 x16: ~32 GB/s per direction (Table 1 / §3.3).
   static LinkModel PcieGen4x16() {
     return LinkModel("PCIe Gen4 x16", 32e9, 700);
@@ -47,7 +40,6 @@ class LinkModel {
   std::string name_;
   double bandwidth_bps_;
   TimeNs base_latency_ns_;
-  uint64_t total_bytes_ = 0;
 };
 
 }  // namespace gids::sim

@@ -62,7 +62,6 @@ class SystemModel {
   const LinkModel& pcie() const { return pcie_; }
   const LinkModel& dram() const { return dram_; }
   const LinkModel& hbm() const { return hbm_; }
-  LinkModel& mutable_pcie() { return pcie_; }
 
   /// Aggregate peak read bandwidth of the SSD array, bytes/sec.
   double ssd_array_peak_bps() const {

@@ -1,38 +1,10 @@
 #include "storage/block_device.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
 
 namespace gids::storage {
-
-InMemoryBlockDevice::InMemoryBlockDevice(uint64_t num_blocks,
-                                         uint32_t block_bytes)
-    : num_blocks_(num_blocks), block_bytes_(block_bytes) {
-  GIDS_CHECK(block_bytes > 0);
-  data_.resize(num_blocks * block_bytes);
-}
-
-Status InMemoryBlockDevice::ReadBlock(uint64_t lba,
-                                      std::span<std::byte> out) const {
-  if (lba >= num_blocks_) return Status::OutOfRange("lba beyond device");
-  if (out.size() != block_bytes_) {
-    return Status::InvalidArgument("output size must equal block size");
-  }
-  std::memcpy(out.data(), data_.data() + lba * block_bytes_, block_bytes_);
-  return Status::OK();
-}
-
-Status InMemoryBlockDevice::WriteBlock(uint64_t lba,
-                                       std::span<const std::byte> data) {
-  if (lba >= num_blocks_) return Status::OutOfRange("lba beyond device");
-  if (data.size() != block_bytes_) {
-    return Status::InvalidArgument("input size must equal block size");
-  }
-  std::memcpy(data_.data() + lba * block_bytes_, data.data(), block_bytes_);
-  return Status::OK();
-}
 
 FunctionBlockDevice::FunctionBlockDevice(uint64_t num_blocks,
                                          uint32_t block_bytes, FillFn fill)

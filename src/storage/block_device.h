@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 
@@ -24,23 +23,6 @@ class BlockDevice {
 
   /// Reads block `lba` into `out` (size must equal block_bytes()).
   virtual Status ReadBlock(uint64_t lba, std::span<std::byte> out) const = 0;
-};
-
-/// RAM-backed device for tests and small experiments; writable.
-class InMemoryBlockDevice : public BlockDevice {
- public:
-  InMemoryBlockDevice(uint64_t num_blocks, uint32_t block_bytes);
-
-  uint32_t block_bytes() const override { return block_bytes_; }
-  uint64_t num_blocks() const override { return num_blocks_; }
-
-  Status ReadBlock(uint64_t lba, std::span<std::byte> out) const override;
-  Status WriteBlock(uint64_t lba, std::span<const std::byte> data);
-
- private:
-  uint64_t num_blocks_;
-  uint32_t block_bytes_;
-  std::vector<std::byte> data_;
 };
 
 /// Device whose contents are computed on demand by a fill function. Used to

@@ -11,12 +11,8 @@
 namespace gids::storage {
 
 StorageArray::StorageArray(std::unique_ptr<BlockDevice> device,
-                           sim::SsdSpec spec, int n_ssd, uint32_t num_queues,
-                           uint32_t queue_depth)
-    : device_(std::move(device)),
-      spec_(std::move(spec)),
-      n_ssd_(n_ssd),
-      queues_(num_queues, queue_depth) {
+                           sim::SsdSpec spec, int n_ssd)
+    : device_(std::move(device)), spec_(std::move(spec)), n_ssd_(n_ssd) {
   GIDS_CHECK(device_ != nullptr);
   GIDS_CHECK(n_ssd_ > 0);
   per_device_reads_ = std::make_unique<std::atomic<uint64_t>[]>(n_ssd_);
@@ -143,27 +139,19 @@ void StorageArray::EnableIntegrity(const IntegrityOptions& integrity) {
   checksummer_ = PageChecksummer(integrity.crc_seed);
 }
 
-void StorageArray::EnsureChecksumTable() {
+uint32_t StorageArray::ExpectedChecksum(uint64_t page,
+                                        std::span<const std::byte> clean) {
   std::call_once(checksums_once_, [this] {
     checksums_ = std::make_unique<std::atomic<uint64_t>[]>(num_pages());
   });
-}
-
-uint32_t StorageArray::ExpectedChecksum(uint64_t page) {
-  EnsureChecksumTable();
   std::atomic<uint64_t>& slot = checksums_[page];
   uint64_t memo = slot.load(std::memory_order_acquire);
   if (memo != 0) return static_cast<uint32_t>(memo);
-  // First touch of this page: regenerate ground truth from the device
-  // patched with the applied-mutation overlay (corruption is injected
-  // above both, so these bytes are the clean, write-time contents) and
-  // memoize the sum. Racing threads compute the same value, so the
-  // unconditional store is benign.
-  thread_local std::vector<std::byte> scratch;
-  scratch.resize(page_bytes());
-  Status s = ReadCleanPage(page, std::span<std::byte>(scratch));
-  GIDS_CHECK(s.ok());
-  uint32_t crc = checksummer_.Checksum(page, scratch.data(), scratch.size());
+  // First touch of this page: `clean` is the device's ground truth
+  // patched with the applied-mutation overlay, read before any corruption
+  // was injected, so its sum is the write-time checksum. Racing threads
+  // compute the same value, so the unconditional store is benign.
+  uint32_t crc = checksummer_.Checksum(page, clean.data(), clean.size());
   slot.store((1ull << 32) | crc, std::memory_order_release);
   return crc;
 }
@@ -171,8 +159,8 @@ uint32_t StorageArray::ExpectedChecksum(uint64_t page) {
 Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
                               ReadOutcome* oc) {
   const bool verify = integrity_.verify_reads;
-  // Bounded-retry loop. Every attempt is a fresh NVMe command (its own
-  // doorbell); failed attempts back off exponentially in virtual time.
+  // Bounded-retry loop. Every attempt is a fresh NVMe command and rings
+  // one doorbell; failed attempts back off exponentially in virtual time.
   // All decisions are pure functions of (fault_seed, page, attempt) and
   // the virtual clock, so the loop's counters are identical across runs
   // and thread counts. A checksum mismatch (verify_reads) is a failed
@@ -192,7 +180,7 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
   bool last_fail_mismatch = false;
   bool quorum_lost = false;
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    GIDS_RETURN_IF_ERROR(queues_.RoundTrip(page));
+    doorbells_.fetch_add(1, std::memory_order_relaxed);
     int device = primary;
     int replica = 0;
     if (replicas_ != nullptr) {
@@ -212,8 +200,10 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
     }
     if (a.outcome == FaultInjector::Outcome::kOk) {
       bool mismatch = false;
+      uint32_t expected_crc = 0;  // functional reads with integrity only
       if (!out.empty()) {
         GIDS_RETURN_IF_ERROR(ReadCleanPage(page, out));
+        if (integrity_.enabled()) expected_crc = ExpectedChecksum(page, out);
         if (a.corrupt) injector_->Corrupt(page, attempt, out);
       }
       if (verify) {
@@ -225,7 +215,7 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
           // guaranteed detection window: the compare fails exactly when
           // the attempt was corrupt, matching counting mode below.
           mismatch = checksummer_.Checksum(page, out.data(), out.size()) !=
-                     ExpectedChecksum(page);
+                     expected_crc;
         } else {
           mismatch = a.corrupt;
         }
@@ -241,11 +231,11 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
           oc->penalty_ns = penalty_ns;
           oc->crc_ns = crc_ns;
           if (!out.empty() && integrity_.enabled()) {
-            oc->crc = ExpectedChecksum(page);
+            oc->crc = expected_crc;
             oc->crc_known = true;
           }
         }
-        CountRead(page, device);
+        CountRead(device);
         if (replicas_ != nullptr) {
           reads_by_replica_[replica].fetch_add(1, std::memory_order_relaxed);
           if (replica != 0) {
@@ -350,10 +340,7 @@ void StorageArray::BindMetrics(obs::MetricRegistry* registry,
   }
   registry->RegisterCallback(
       "gids_io_doorbells_total", labels, MetricType::kCounter,
-      [this] { return static_cast<double>(queues_.total_submissions()); });
-  registry->RegisterCallback(
-      "gids_io_queue_outstanding", labels, MetricType::kGauge,
-      [this] { return static_cast<double>(queues_.outstanding()); });
+      [this] { return static_cast<double>(doorbells()); });
   registry->RegisterCallback(
       "gids_io_queue_capacity", labels, MetricType::kGauge,
       [this] { return static_cast<double>(queue_capacity()); });
@@ -464,8 +451,6 @@ void StorageArray::BindMetrics(obs::MetricRegistry* registry,
         "gids_journal_write_amplification", labels, MetricType::kGauge,
         [this] { return journal_->WriteAmplification(); });
   }
-  request_bytes_hist_ =
-      registry->GetHistogram("gids_storage_request_bytes", labels);
   retry_latency_hist_ =
       registry->GetHistogram("gids_storage_retry_latency_ns", labels);
 }

@@ -19,7 +19,6 @@
 #include "storage/fault_injector.h"
 #include "storage/journal.h"
 #include "storage/page_integrity.h"
-#include "storage/queue_manager.h"
 #include "storage/replica_set.h"
 
 namespace gids::storage {
@@ -77,12 +76,13 @@ class StorageArray {
     TimeNs crc_ns = 0;
   };
 
-  /// `num_queues`/`queue_depth` size the per-GPU IO queue pairs (BaM
-  /// defaults: 128 queues of depth 1024). The aggregate depth bounds the
-  /// outstanding storage accesses the accumulator can maintain.
+  /// Aggregate NVMe queue depth per GPU: BaM's 128 queue pairs of depth
+  /// 1024. It bounds the outstanding storage accesses the accumulator can
+  /// maintain (the timing models' concurrency cap, CostGather).
+  static constexpr uint64_t kQueueCapacity = 128 * 1024;
+
   StorageArray(std::unique_ptr<BlockDevice> device, sim::SsdSpec spec,
-               int n_ssd, uint32_t num_queues = 128,
-               uint32_t queue_depth = 1024);
+               int n_ssd);
 
   uint32_t page_bytes() const { return device_->block_bytes(); }
   uint64_t num_pages() const { return device_->num_blocks(); }
@@ -166,13 +166,6 @@ class StorageArray {
   /// replayed above the applied watermark (see JournalCoordinator).
   uint64_t RecoverJournal();
 
-  /// Write-time checksum of `page`'s clean contents, computed lazily from
-  /// the backing device patched with the applied-mutation overlay (the
-  /// device regenerates pristine ground truth; corruption is injected
-  /// above it; applied journal records update it) and memoized. Thread-
-  /// safe; the applier invalidates the memo of every page it rewrites.
-  uint32_t ExpectedChecksum(uint64_t page);
-
   /// Reads one page into `out`. Under fault injection, retries
   /// transparently; Status::Unavailable means the retries were exhausted
   /// (dead-lettered) and `out` holds no valid data; Status::DataLoss means
@@ -180,8 +173,8 @@ class StorageArray {
   /// corruption). `oc`, if given, receives the integrity side-channel.
   ///
   /// An empty `out` is counting mode (the large-scale timing benchmarks):
-  /// the access is recorded and drives the queue pair without moving
-  /// bytes, with identical retry/fault/verification decisions (corruption
+  /// the access is recorded and rings its doorbells without moving bytes,
+  /// with identical retry/fault/verification decisions (corruption
   /// detection is modeled off the injector's decision, which the CRC
   /// compare reproduces exactly — see FaultInjector::Corrupt), so counting
   /// and byte-moving runs report the same retry/timeout/repair/dead-letter
@@ -190,9 +183,8 @@ class StorageArray {
   Status ReadPage(uint64_t page, std::span<std::byte> out,
                   ReadOutcome* oc = nullptr);
 
-  const QueueManager& queues() const { return queues_; }
   /// Maximum storage accesses that can be in flight across all queues.
-  uint64_t queue_capacity() const { return queues_.total_depth(); }
+  uint64_t queue_capacity() const { return kQueueCapacity; }
 
   /// Device index that owns `page` under round-robin striping.
   int DeviceFor(uint64_t page) const {
@@ -201,6 +193,12 @@ class StorageArray {
 
   uint64_t total_reads() const {
     return total_reads_.load(std::memory_order_relaxed);
+  }
+  /// Read attempts issued, one NVMe doorbell each: every read rings once
+  /// per attempt, so doorbells == total_reads + retries_total +
+  /// dead_letters_total.
+  uint64_t doorbells() const {
+    return doorbells_.load(std::memory_order_relaxed);
   }
   uint64_t reads_on_device(int d) const {
     return per_device_reads_[d].load(std::memory_order_relaxed);
@@ -289,8 +287,7 @@ class StorageArray {
   }
 
   /// Exposes the array through `registry`: read counters (total and
-  /// per-device), queue-pair doorbell traffic, an outstanding-request
-  /// gauge, a request-size histogram observed on every read, and the
+  /// per-device), doorbell traffic, the queue-capacity gauge, and the
   /// fault/retry series (gids_storage_retries_total, _timeouts_total,
   /// _dead_letters_total, _faults_injected_total, retry-latency histogram).
   /// With `attribution_series` the penalty sub-ledgers are also exported
@@ -300,8 +297,11 @@ class StorageArray {
                    bool attribution_series = false);
 
  private:
-  /// Allocates the lazy expected-checksum table on first use.
-  void EnsureChecksumTable();
+  /// Write-time checksum of `page`, memoized: on first touch it is the
+  /// checksum of `clean`, the page's clean contents just read by
+  /// ReadCleanPage (corruption is injected after the memo is taken). The
+  /// applier refreshes the memo of every page it rewrites.
+  uint32_t ExpectedChecksum(uint64_t page, std::span<const std::byte> clean);
   /// Ground-truth page contents: the backing device patched with the
   /// applied-mutation overlay. Byte-for-byte the raw device read when the
   /// journal is off or the page was never mutated.
@@ -314,18 +314,14 @@ class StorageArray {
   /// Post-success bookkeeping shared by both modes. `device` is the
   /// striped device that served the read (the primary unless a replica
   /// failover rerouted it).
-  void CountRead(uint64_t /*page*/, int device) {
+  void CountRead(int device) {
     total_reads_.fetch_add(1, std::memory_order_relaxed);
     per_device_reads_[device].fetch_add(1, std::memory_order_relaxed);
-    if (request_bytes_hist_ != nullptr) {
-      request_bytes_hist_->Observe(page_bytes());
-    }
   }
 
   std::unique_ptr<BlockDevice> device_;
   sim::SsdSpec spec_;
   int n_ssd_;
-  QueueManager queues_;
   std::unique_ptr<FaultInjector> injector_;  // null = fault-free
   RetryPolicy retry_;
   IntegrityOptions integrity_;
@@ -336,6 +332,7 @@ class StorageArray {
   std::unique_ptr<std::atomic<uint64_t>[]> checksums_;
   std::once_flag checksums_once_;
   std::atomic<uint64_t> total_reads_{0};
+  std::atomic<uint64_t> doorbells_{0};
   std::atomic<uint64_t> retries_total_{0};
   std::atomic<uint64_t> timeouts_total_{0};
   std::atomic<uint64_t> dead_letters_total_{0};
@@ -348,8 +345,7 @@ class StorageArray {
   std::atomic<uint64_t> integrity_repairs_total_{0};
   std::atomic<uint64_t> data_loss_total_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> per_device_reads_;
-  obs::HistogramMetric* request_bytes_hist_ = nullptr;   // registry-owned
-  obs::HistogramMetric* retry_latency_hist_ = nullptr;   // registry-owned
+  obs::HistogramMetric* retry_latency_hist_ = nullptr;  // registry-owned
 
   /// Virtual clock of the array (monotonic; loader-advanced). Gates the
   /// offline-device onset and the replica health view.

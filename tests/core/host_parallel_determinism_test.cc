@@ -27,7 +27,7 @@ struct RunCapture {
   std::vector<loaders::LoaderBatch> iterations;
   storage::CacheStats cache_stats;
   uint64_t storage_reads = 0;
-  uint64_t queue_submissions = 0;
+  uint64_t doorbells = 0;
   size_t peak_lookahead = 0;
   int window_depth = 0;  // resolved
 };
@@ -86,8 +86,7 @@ GidsOptions MakeOptions(const RunConfig& cfg) {
 void CaptureTotals(const GidsLoader& loader, RunCapture* cap) {
   cap->cache_stats = loader.cache().stats();
   cap->storage_reads = loader.storage_array().total_reads();
-  cap->queue_submissions =
-      loader.storage_array().queues().total_submissions();
+  cap->doorbells = loader.storage_array().doorbells();
   cap->peak_lookahead = loader.peak_lookahead();
   cap->window_depth = loader.window_depth();
 }
@@ -167,7 +166,7 @@ void ExpectTotalsEqual(const RunCapture& a, const RunCapture& b) {
   EXPECT_EQ(a.cache_stats.evictions, b.cache_stats.evictions);
   EXPECT_EQ(a.cache_stats.bypasses, b.cache_stats.bypasses);
   EXPECT_EQ(a.storage_reads, b.storage_reads);
-  EXPECT_EQ(a.queue_submissions, b.queue_submissions);
+  EXPECT_EQ(a.doorbells, b.doorbells);
 }
 
 constexpr int kIterations = 12;

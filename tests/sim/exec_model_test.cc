@@ -127,15 +127,6 @@ TEST(LinkModelTest, PresetsMatchTable1) {
   EXPECT_NEAR(LinkModel::HbmA100().bandwidth_bps(), 1555e9, 1e9);
 }
 
-TEST(LinkModelTest, TrafficAccounting) {
-  LinkModel pcie = LinkModel::PcieGen4x16();
-  pcie.RecordTraffic(100);
-  pcie.RecordTraffic(200);
-  EXPECT_EQ(pcie.total_bytes(), 300u);
-  pcie.ResetTraffic();
-  EXPECT_EQ(pcie.total_bytes(), 0u);
-}
-
 TEST(SystemConfigTest, MemoryScaling) {
   SystemConfig cfg = SystemConfig::Paper(SsdSpec::IntelOptane());
   cfg.memory_scale = 1.0 / 256.0;

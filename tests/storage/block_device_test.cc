@@ -8,33 +8,6 @@
 namespace gids::storage {
 namespace {
 
-TEST(InMemoryBlockDeviceTest, ReadBackWrites) {
-  InMemoryBlockDevice dev(8, 512);
-  std::vector<std::byte> in(512);
-  for (size_t i = 0; i < in.size(); ++i) in[i] = std::byte(i & 0xff);
-  ASSERT_TRUE(dev.WriteBlock(3, in).ok());
-  std::vector<std::byte> out(512);
-  ASSERT_TRUE(dev.ReadBlock(3, out).ok());
-  EXPECT_EQ(std::memcmp(in.data(), out.data(), 512), 0);
-}
-
-TEST(InMemoryBlockDeviceTest, FreshDeviceIsZeroed) {
-  InMemoryBlockDevice dev(2, 64);
-  std::vector<std::byte> out(64, std::byte{0xff});
-  ASSERT_TRUE(dev.ReadBlock(0, out).ok());
-  for (std::byte b : out) EXPECT_EQ(b, std::byte{0});
-}
-
-TEST(InMemoryBlockDeviceTest, BoundsAndSizeChecks) {
-  InMemoryBlockDevice dev(4, 128);
-  std::vector<std::byte> buf(128);
-  EXPECT_EQ(dev.ReadBlock(4, buf).code(), StatusCode::kOutOfRange);
-  std::vector<std::byte> wrong(64);
-  EXPECT_EQ(dev.ReadBlock(0, wrong).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(dev.WriteBlock(9, buf).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(dev.WriteBlock(0, wrong).code(), StatusCode::kInvalidArgument);
-}
-
 TEST(FunctionBlockDeviceTest, ServesComputedContent) {
   FunctionBlockDevice dev(16, 32, [](uint64_t lba, std::span<std::byte> out) {
     for (size_t i = 0; i < out.size(); ++i) {

@@ -53,10 +53,8 @@ TEST(CacheZeroAllocTest, FreshPagesOnAWarmCacheAllocateNothing) {
   EXPECT_EQ(cache.pinned_lines(), pinned);
 }
 
-// Every storage read drives a queue-pair round trip under the queue
-// manager's mutex; once the queues are warm that round trip, and the
-// whole read, allocates nothing, with a payload buffer or without one
-// (counting mode's empty span).
+// A warm fault-free storage read, doorbell included, allocates nothing,
+// with a payload buffer or without one (counting mode's empty span).
 TEST(StorageZeroAllocTest, WarmFaultFreeReadsAllocateNothing) {
   constexpr uint64_t kPages = 4096;
   constexpr uint32_t kPageBytes = 4096;
@@ -66,10 +64,9 @@ TEST(StorageZeroAllocTest, WarmFaultFreeReadsAllocateNothing) {
           [](uint64_t lba, std::span<std::byte> out) {
             for (std::byte& b : out) b = static_cast<std::byte>(lba);
           }),
-      sim::SsdSpec::IntelOptane(), /*n_ssd=*/2, /*num_queues=*/4,
-      /*queue_depth=*/8);
+      sim::SsdSpec::IntelOptane(), /*n_ssd=*/2);
   std::vector<std::byte> payload(kPageBytes);
-  for (uint64_t p = 0; p < 64; ++p) {  // warm-up: every queue used
+  for (uint64_t p = 0; p < 64; ++p) {  // warm-up
     ASSERT_TRUE(array.ReadPage(p, payload).ok());
     ASSERT_TRUE(array.ReadPage(p, {}).ok());
   }

@@ -307,6 +307,36 @@ TEST(FaultRetryTest, CountingModeMatchesFunctionalCounters) {
             counting.array->dead_letters_total());
 }
 
+// Every read attempt is one NVMe command and rings one doorbell
+// (FAULTS.md): a served read rings once plus once per retry, and a
+// dead-lettered read rings max_retries + 1 times, max_retries of them
+// counted as retries. Transient errors and stuck-queue timeouts both
+// fail attempts here, in both read modes.
+TEST(FaultRetryTest, OneDoorbellPerAttempt) {
+  RetryPolicy rp;
+  rp.max_retries = 1;
+  FaultOptions fo;
+  fo.fault_rate = 0.3;
+  fo.stuck_queue_rate = 0.1;
+  for (bool counting : {false, true}) {
+    FaultRig rig(fo, rp);
+    FeatureGatherCounts counts;
+    auto nodes = AllNodes();
+    if (counting) {
+      ASSERT_TRUE(rig.gatherer->Gather(nodes, {}, &counts).ok());
+    } else {
+      ASSERT_TRUE(rig.gatherer->Gather(nodes, &counts).ok());
+    }
+    const StorageArray& a = *rig.array;
+    ASSERT_GT(a.retries_total(), 0u);
+    ASSERT_GT(a.timeouts_total(), 0u);
+    ASSERT_GT(a.dead_letters_total(), 0u);
+    EXPECT_EQ(a.doorbells(),
+              a.total_reads() + a.retries_total() + a.dead_letters_total())
+        << (counting ? "counting" : "functional");
+  }
+}
+
 // An epoch completes (no abort) under a 1% transient fault rate, the
 // degraded-node counter is exported, and two identically-seeded loaders
 // report identical resilience counters.

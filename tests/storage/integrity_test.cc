@@ -138,6 +138,52 @@ TEST(IntegrityTest, UndetectedCorruptionServesWrongBytes) {
   EXPECT_EQ(rig.array->checksum_mismatches_total(), 0u);
 }
 
+// A verified functional read takes its page's write-time checksum from
+// the clean bytes it has just read, before any corruption is injected, so
+// the first touch of a page fills it from the device once instead of
+// regenerating it a second time for the checksum. A corrupt first attempt
+// is still caught against that clean sum.
+TEST(IntegrityTest, FirstVerifiedReadFillsOnce) {
+  graph::FeatureStore fs(64, 1024);
+  uint64_t fills = 0;
+  auto make_array = [&](double corruption_rate) {
+    auto array = std::make_unique<StorageArray>(
+        std::make_unique<FunctionBlockDevice>(
+            fs.num_pages(), fs.page_bytes(),
+            [&](uint64_t lba, std::span<std::byte> out) {
+              ++fills;
+              fs.FillPage(lba, out);
+            }),
+        sim::SsdSpec::IntelOptane(), 1);
+    FaultOptions faults;
+    faults.corruption_rate = corruption_rate;
+    RetryPolicy retry;
+    retry.max_retries = 0;
+    array->EnableFaultInjection(faults, retry);
+    IntegrityOptions integrity;
+    integrity.verify_reads = true;
+    array->EnableIntegrity(integrity);
+    return array;
+  };
+  std::vector<std::byte> out(fs.page_bytes());
+  StorageArray::ReadOutcome oc;
+
+  auto clean = make_array(0.0);
+  ASSERT_TRUE(clean->ReadPage(7, out, &oc).ok());
+  EXPECT_EQ(fills, 1u);
+  ASSERT_TRUE(oc.crc_known);
+  EXPECT_EQ(oc.crc, clean->checksummer().Checksum(7, out.data(), out.size()));
+  ASSERT_TRUE(clean->ReadPage(7, out, &oc).ok());  // memoized sum
+  EXPECT_EQ(fills, 2u);
+  EXPECT_EQ(clean->checksum_mismatches_total(), 0u);
+
+  fills = 0;
+  auto corrupt = make_array(1.0);
+  EXPECT_EQ(corrupt->ReadPage(7, out, &oc).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(fills, 1u);
+  EXPECT_EQ(corrupt->checksum_mismatches_total(), 1u);
+}
+
 // Verify-on-read turns the same corruption into repairs: the gathered
 // bytes come out bit-identical to a corruption-free run.
 TEST(IntegrityTest, VerifyReadsRepairsToBitIdenticalOutput) {

@@ -25,6 +25,10 @@
 #      tests/, so the docs cannot name a deleted or renamed file. Change
 #      records and plans may name old or future files, and perfbench/ is
 #      changed only with the benchmark, so neither is checked.
+#   5. The "gids_*" string literals under src/ (the metric names the code
+#      registers) and the backticked gids_* names in OBSERVABILITY.md must
+#      be the same set, so a deleted series cannot keep its doc row and a
+#      new one cannot land undocumented.
 #
 #   tools/docs_lint.sh            # lint everything
 set -euo pipefail
@@ -126,8 +130,21 @@ for md in README.md DESIGN.md CACHING.md FAULTS.md INTEGRITY.md \
              "$md" | sort -u)
 done
 
+# --- 5. the metric catalog matches the code --------------------------------
+code_metrics=$(grep -rhoE '"gids_[a-z0-9_]+"' src | tr -d '"' | sort -u)
+doc_metrics=$(grep -oE '`gids_[a-z0-9_]+`' OBSERVABILITY.md | tr -d '`' |
+  sort -u)
+while IFS= read -r name; do
+  echo "docs-lint: metric $name is registered in src/ but not documented in OBSERVABILITY.md"
+  fail=1
+done < <(comm -23 <(echo "$code_metrics") <(echo "$doc_metrics"))
+while IFS= read -r name; do
+  echo "docs-lint: OBSERVABILITY.md documents $name, which no code under src/ registers"
+  fail=1
+done < <(comm -13 <(echo "$code_metrics") <(echo "$doc_metrics"))
+
 if [ "$fail" -ne 0 ]; then
   echo "docs-lint: FAILED"
   exit 1
 fi
-echo "docs-lint: OK ($(git ls-files '*.md' | wc -l) markdown files, $(wc -w <<<"$fields") option fields, $(wc -w <<<"$flags") CLI flags)"
+echo "docs-lint: OK ($(git ls-files '*.md' | wc -l) markdown files, $(wc -w <<<"$fields") option fields, $(wc -w <<<"$flags") CLI flags, $(wc -w <<<"$code_metrics") metric names)"

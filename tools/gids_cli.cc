@@ -68,7 +68,8 @@ class Flags {
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
+        std::fprintf(stderr, "gids_cli: unexpected argument '%s'\n",
+                     arg.c_str());
         std::exit(2);
       }
       std::string key = arg.substr(2);
@@ -184,23 +185,27 @@ class Flags {
   mutable std::set<std::string> read_;
 };
 
-StatusOr<graph::DatasetSpec> SpecByName(const std::string& name) {
+/// The catalog entry named `name`; an unknown name exits with status 2
+/// before anything is built.
+graph::DatasetSpec SpecByName(const std::string& name) {
   for (const auto& spec : graph::DatasetSpec::RealWorld()) {
     if (spec.name == name) return spec;
   }
   for (const auto& spec : graph::DatasetSpec::IgbMicro()) {
     if (spec.name == name) return spec;
   }
-  return Status::NotFound("unknown dataset '" + name +
-                          "' (see bench_tab02_datasets for the catalog)");
+  std::fprintf(stderr,
+               "gids_cli: unknown dataset '%s' (see bench_tab02_datasets "
+               "for the catalog)\n",
+               name.c_str());
+  std::exit(2);
 }
 
 StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
   if (flags.Has("in")) {
     return graph::LoadDataset(flags.Get("in"));
   }
-  GIDS_ASSIGN_OR_RETURN(graph::DatasetSpec spec,
-                        SpecByName(flags.Get("dataset", "IGB-tiny")));
+  const graph::DatasetSpec spec = SpecByName(flags.Get("dataset", "IGB-tiny"));
   return graph::BuildDataset(spec, flags.GetDouble("scale", 1.0 / 256),
                              static_cast<uint64_t>(flags.GetInt("seed", 42)));
 }
