@@ -167,14 +167,4 @@ void WorkspacePool::Prewarm() {
   }
 }
 
-void WorkspacePool::FlushThreadCache() {
-  if (this != &Default()) return;
-  for (uint32_t b = 0; b < kNumBuckets; ++b) {
-    for (size_t i = 0; i < t_cache.count[b]; ++i) {
-      PushGlobal(b, t_cache.slots[b][i]);
-    }
-    t_cache.count[b] = 0;
-  }
-}
-
 }  // namespace gids

@@ -101,10 +101,6 @@ class WorkspacePool {
   /// block class wobbles by one stay allocation-free. No-op when disabled.
   void Prewarm();
 
-  /// Returns the calling thread's cached blocks to the global lists
-  /// (normally automatic at thread exit).
-  void FlushThreadCache();
-
   // --- Stats (lock-free reads; exported as gids_ws_* metrics).
   uint64_t acquires_total() const {
     return acquires_.load(std::memory_order_relaxed);

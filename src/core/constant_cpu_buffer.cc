@@ -96,7 +96,8 @@ ConstantCpuBuffer::ScrubResult ConstantCpuBuffer::ScrubRows(
       if (pinned_[v]) scrub_->nodes.push_back(v);
     }
     scrub_->crcs.assign(scrub_->nodes.size(), 0);
-    scrub_->crc_known.assign(scrub_->nodes.size(), false);
+    scrub_->baseline_versions.assign(scrub_->nodes.size(),
+                                     ScrubState::kNoBaseline);
   }
   std::vector<float> row(features_->feature_dim());
   const size_t n = scrub_->nodes.size();
@@ -105,12 +106,13 @@ ConstantCpuBuffer::ScrubResult ConstantCpuBuffer::ScrubRows(
     size_t idx = scrub_->cursor;
     scrub_->cursor = (scrub_->cursor + 1) % n;
     graph::NodeId node = scrub_->nodes[idx];
-    features_->FillFeatureAt(node, RowVersion(node), std::span<float>(row));
+    const uint64_t version = RowVersion(node);
+    features_->FillFeatureAt(node, version, std::span<float>(row));
     uint32_t crc = checksummer.Checksum(node, row.data(),
                                         row.size() * sizeof(float));
-    if (!scrub_->crc_known[idx]) {
+    if (scrub_->baseline_versions[idx] != version) {
       scrub_->crcs[idx] = crc;
-      scrub_->crc_known[idx] = true;
+      scrub_->baseline_versions[idx] = version;
     } else if (scrub_->crcs[idx] != crc) {
       ++r.errors;
       scrub_->crcs[idx] = crc;  // re-baseline the repaired row
@@ -129,30 +131,9 @@ void ConstantCpuBuffer::Fill(graph::NodeId node, std::span<float> out) const {
   }
 }
 
-uint64_t ConstantCpuBuffer::RowVersion(graph::NodeId node) const {
-  std::shared_lock<std::shared_mutex> lock(overrides_->mu);
-  if (overrides_->versions.empty()) return 0;
-  auto it = overrides_->versions.find(node);
-  return it == overrides_->versions.end() ? 0 : it->second;
-}
-
-void ConstantCpuBuffer::OverrideRow(graph::NodeId node, uint64_t version) {
-  GIDS_CHECK(node < pinned_.size());
-  {
-    std::unique_lock<std::shared_mutex> lock(overrides_->mu);
-    overrides_->versions[node] = version;
-  }
-  // The row's bytes legitimately changed: drop its scrub baseline so the
-  // next sweep re-baselines instead of flagging the update as corruption.
-  std::lock_guard<std::mutex> lock(scrub_->mu);
-  if (!scrub_->nodes.empty()) {
-    auto it = std::lower_bound(scrub_->nodes.begin(), scrub_->nodes.end(),
-                               node);
-    if (it != scrub_->nodes.end() && *it == node) {
-      scrub_->crc_known[static_cast<size_t>(it - scrub_->nodes.begin())] =
-          false;
-    }
-  }
+void ConstantCpuBuffer::ServeVersions(std::span<const uint64_t> versions) {
+  GIDS_CHECK(versions.empty() || versions.size() == pinned_.size());
+  versions_ = versions;
 }
 
 void ConstantCpuBuffer::BindMetrics(obs::MetricRegistry* registry,

@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -75,24 +74,27 @@ class ConstantCpuBuffer : public storage::HotNodeBuffer {
   /// Background-scrubber entry point (INTEGRITY.md): verifies up to
   /// `max_rows` pinned feature rows against their node-tagged checksums,
   /// resuming from a persistent cursor so successive sweeps cycle the
-  /// whole pinned set. The first visit of a row establishes its baseline
-  /// sum; later visits compare (and re-baseline on mismatch). Thread-safe
-  /// against Fill; one scrub runs at a time under an internal mutex.
+  /// whole pinned set. The first visit of a row, and the first visit
+  /// after its version changed (a legitimate update, not corruption),
+  /// establishes its baseline sum; later visits compare (and re-baseline
+  /// on mismatch). Thread-safe against Fill; one scrub runs at a time
+  /// under an internal mutex.
   ScrubResult ScrubRows(const storage::PageChecksummer& checksummer,
                         uint64_t max_rows);
 
-  /// Journaled-write-path hook (FAULTS.md "Durability & failover"): pins
-  /// node's row to feature version `version` (FeatureStore::
-  /// ExpectedElementAt). The applier calls this when a feature update of a
-  /// pinned node is checkpointed, so CPU-buffer hits serve the mutated row
-  /// — without it the buffer would keep serving version 0 forever. Also
-  /// invalidates the row's scrub baseline (the content change is a
-  /// legitimate update, not corruption). Called only from the
-  /// single-flight apply step; safe against concurrent Fill.
-  void OverrideRow(graph::NodeId node, uint64_t version);
+  /// Journaled write path (FAULTS.md "Durability & failover"): serve
+  /// every row at its entry of `versions` (one per node; FeatureStore::
+  /// ExpectedElementAt), so CPU-buffer hits see the applied updates. The
+  /// table belongs to the caller and must outlive the buffer; the loader
+  /// passes its mutation stream's applied versions, written only by the
+  /// apply step, which never runs beside a gather or a scrub. Without a
+  /// table every row is at version 0.
+  void ServeVersions(std::span<const uint64_t> versions);
 
-  /// Current feature version of `node`'s pinned row (0 = never updated).
-  uint64_t RowVersion(graph::NodeId node) const;
+  /// Current feature version of `node`'s row (0 = never updated).
+  uint64_t RowVersion(graph::NodeId node) const {
+    return versions_.empty() ? 0 : versions_[node];
+  }
 
   /// Exposes the buffer through `registry`: pinned-set gauges plus
   /// redirect counters (nodes served and bytes crossing PCIe from host
@@ -111,29 +113,24 @@ class ConstantCpuBuffer : public storage::HotNodeBuffer {
   const graph::FeatureStore* features_;
   std::vector<bool> pinned_;
   uint64_t num_pinned_;
+  std::span<const uint64_t> versions_;  // per-node row versions, or empty
   obs::Counter* fills_total_ = nullptr;        // registry-owned
   obs::Counter* bytes_served_total_ = nullptr;  // registry-owned
   /// Scrubber state, populated lazily on the first ScrubRows call: the
-  /// pinned node ids in ascending order, their baseline checksums, and
-  /// the sweep cursor. Heap-allocated (the buffer is move-constructed by
-  /// its factories and std::mutex is not movable); guarded by its mutex.
+  /// pinned node ids in ascending order, their baseline checksums and the
+  /// row versions those were taken at (kNoBaseline before the first
+  /// visit), and the sweep cursor. Heap-allocated (the buffer is
+  /// move-constructed by its factories and std::mutex is not movable);
+  /// guarded by its mutex.
   struct ScrubState {
+    static constexpr uint64_t kNoBaseline = ~0ull;
     std::mutex mu;
     std::vector<graph::NodeId> nodes;
     std::vector<uint32_t> crcs;
-    std::vector<bool> crc_known;
+    std::vector<uint64_t> baseline_versions;
     size_t cursor = 0;
   };
   std::unique_ptr<ScrubState> scrub_ = std::make_unique<ScrubState>();
-  /// Versioned-row overrides from the journal applier. Reader-heavy
-  /// (every Fill consults it); writes happen only inside the single-flight
-  /// apply step. Heap-allocated for the same movability reason as
-  /// ScrubState.
-  struct OverrideState {
-    mutable std::shared_mutex mu;
-    std::unordered_map<graph::NodeId, uint64_t> versions;
-  };
-  std::unique_ptr<OverrideState> overrides_ = std::make_unique<OverrideState>();
 };
 
 }  // namespace gids::core

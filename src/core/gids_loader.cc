@@ -75,11 +75,22 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   const sim::SystemConfig& cfg = system_->config();
   GIDS_CHECK_OK(options_.Validate(cfg.n_ssd));
 
+  // The journaled write path's generator (FAULTS.md "Durability &
+  // failover"). Its applied-version table is this loader's record of
+  // every applied row update: the block device and the CPU buffer serve
+  // each row at its version, so no rewritten byte is stored.
+  const bool mutating = options_.MutationStreamOptions::enabled();
+  if (mutating) mutations_ = std::make_unique<MutationStream>(&fs, options_);
+  const std::span<const uint64_t> versions =
+      mutating ? mutations_->applied_versions() : std::span<const uint64_t>();
+
   // Feature data lives on the SSD array; the synthetic block device
   // regenerates any page's ground-truth bytes on demand.
   auto device = std::make_unique<storage::FunctionBlockDevice>(
       fs.num_pages(), fs.page_bytes(),
-      [&fs](uint64_t lba, std::span<std::byte> out) { fs.FillPage(lba, out); });
+      [&fs, versions](uint64_t lba, std::span<std::byte> out) {
+        fs.FillPage(lba, out, versions);
+      });
   storage_ = std::make_unique<storage::StorageArray>(std::move(device),
                                                      cfg.ssd, cfg.n_ssd);
   storage::RetryPolicy retry;
@@ -94,14 +105,12 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   // set), both before metric binding (the journal/replica series exist
   // only when enabled, keeping defaults-off metric output identical).
   const bool replicated = options_.ReplicaOptions::enabled();
-  const bool mutating = options_.MutationStreamOptions::enabled();
   if (replicated) storage_->EnableReplication(options_);
   if (mutating || replicated) {
     storage::JournalOptions jopt;  // Validate accepted the level's name
     storage::ParseDurabilityLevel(options_.durability, &jopt.durability);
     storage_->EnableJournal(jopt);
   }
-  if (mutating) mutations_ = std::make_unique<MutationStream>(&fs, options_);
 
   // Replacement/admission policy (CACHING.md). A shared instance is used
   // as-is (the sharing host already seeded its ranking); otherwise the
@@ -166,6 +175,7 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
                                    options_.hot_metric,
                                    options_.seed ^ 0xb0f));
     }
+    cpu_buffer_->ServeVersions(versions);
   }
   gatherer_ = std::make_unique<storage::FeatureGatherer>(
       &fs, storage_.get(), cache_.get(), cpu_buffer_.get(),
@@ -450,18 +460,12 @@ Status GidsLoader::PrepareGroupBatches() {
         options_.journal_apply_budget,
         [this](const storage::MutationRecord& rec,
                std::span<const uint64_t> pages) {
+          // Applied records change page ground truth: advance the row's
+          // version, which the device and the CPU buffer serve, and drop
+          // stale cache lines, so every service path serves (and
+          // verifies against) the new version.
           mutations_->OnApplied(rec);
-          // Applied records change page ground truth: drop stale cache
-          // lines and refresh the pinned CPU-buffer row so every service
-          // path serves (and verifies against) the new version.
           for (uint64_t page : pages) cache_->Invalidate(page);
-          if (rec.type == storage::MutationType::kFeatureUpdate &&
-              cpu_buffer_ != nullptr &&
-              cpu_buffer_->Contains(
-                  static_cast<graph::NodeId>(rec.key))) {
-            cpu_buffer_->OverrideRow(static_cast<graph::NodeId>(rec.key),
-                                     rec.arg);
-          }
         });
     group_mutation_ns = static_cast<TimeNs>(
         storage_->journal()->counters().mutation_ns.load(

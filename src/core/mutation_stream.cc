@@ -1,6 +1,5 @@
 #include "core/mutation_stream.h"
 
-#include <cstring>
 #include <span>
 
 #include "common/check.h"
@@ -12,7 +11,7 @@ MutationStream::MutationStream(const graph::FeatureStore* features,
     : features_(features), options_(options), rng_(options.mutation_seed) {
   GIDS_CHECK(features_ != nullptr);
   GIDS_CHECK(features_->num_nodes() > 0);
-  row_scratch_.resize(features_->feature_dim());
+  applied_versions_.assign(features_->num_nodes(), 0);
 }
 
 void MutationStream::GenerateUpTo(uint64_t index) {
@@ -32,11 +31,6 @@ void MutationStream::GenerateUpTo(uint64_t index) {
       rec.arg = version;
       rec.offset = features_->ByteOffset(node);
       rec.home_page = features_->PagesFor(node).first;
-      features_->FillFeatureAt(node, version,
-                               std::span<float>(row_scratch_));
-      rec.payload.resize(features_->feature_bytes_per_node());
-      std::memcpy(rec.payload.data(), row_scratch_.data(),
-                  rec.payload.size());
     } else {
       const uint64_t draw = rng_.Next();
       rec.type = (draw >> 63) != 0 ? storage::MutationType::kEdgeDelete
@@ -54,6 +48,19 @@ const storage::MutationRecord& MutationStream::Record(uint64_t index) {
   return records_[index];
 }
 
+storage::MutationRecord MutationStream::WithPayload(
+    const storage::MutationRecord& header) const {
+  storage::MutationRecord rec = header;
+  if (rec.type == storage::MutationType::kFeatureUpdate) {
+    rec.payload.resize(features_->feature_bytes_per_node());
+    features_->FillFeatureAt(
+        static_cast<graph::NodeId>(rec.key), rec.arg,
+        std::span<float>(reinterpret_cast<float*>(rec.payload.data()),
+                         features_->feature_dim()));
+  }
+  return rec;
+}
+
 uint64_t MutationStream::SubmitThrough(storage::StorageArray* array,
                                        uint64_t through_iteration) {
   GIDS_CHECK(array != nullptr && array->journal_enabled());
@@ -61,7 +68,8 @@ uint64_t MutationStream::SubmitThrough(storage::StorageArray* array,
   uint64_t submitted = 0;
   while (submitted_ < target) {
     GenerateUpTo(submitted_);
-    const uint64_t lsn = array->SubmitMutation(records_[submitted_]);
+    const uint64_t lsn =
+        array->SubmitMutation(WithPayload(records_[submitted_]));
     GIDS_CHECK(lsn == submitted_ + 1);
     ++submitted_;
     ++submitted;
@@ -74,7 +82,7 @@ uint64_t MutationStream::ResubmitMissing(storage::StorageArray* array) {
   uint64_t count = 0;
   for (uint64_t lsn : array->journal()->MissingLsns(submitted_)) {
     GIDS_CHECK(lsn >= 1 && lsn <= submitted_);
-    storage::MutationRecord rec = Record(lsn - 1);
+    storage::MutationRecord rec = WithPayload(Record(lsn - 1));
     rec.lsn = lsn;
     const uint64_t assigned = array->SubmitMutation(std::move(rec));
     GIDS_CHECK(assigned == lsn);
@@ -86,6 +94,7 @@ uint64_t MutationStream::ResubmitMissing(storage::StorageArray* array) {
 void MutationStream::OnApplied(const storage::MutationRecord& rec) {
   switch (rec.type) {
     case storage::MutationType::kFeatureUpdate:
+      applied_versions_[rec.key] = rec.arg;
       ++feature_updates_applied_;
       break;
     case storage::MutationType::kEdgeInsert:

@@ -120,8 +120,10 @@ void FeatureStore::FillFeatureAt(NodeId v, uint64_t version,
                reinterpret_cast<std::byte*>(out.data()));
 }
 
-void FeatureStore::FillPage(uint64_t page, std::span<std::byte> out) const {
+void FeatureStore::FillPage(uint64_t page, std::span<std::byte> out,
+                            std::span<const uint64_t> versions) const {
   GIDS_CHECK(out.size() == page_bytes_);
+  GIDS_CHECK(versions.empty() || versions.size() == num_nodes_);
   // Rows start at multiples of 4 * dim bytes and pages at multiples of
   // page_bytes_, itself a multiple of 4, so no element straddles a page:
   // the page holds whole elements [first, first + n) of the flat file,
@@ -131,7 +133,17 @@ void FeatureStore::FillPage(uint64_t page, std::span<std::byte> out) const {
   const uint64_t first = page * per_page;
   const uint64_t total = static_cast<uint64_t>(num_nodes_) * feature_dim_;
   const uint64_t n = first < total ? std::min(per_page, total - first) : 0;
-  FillElements(content_seed_, first, n, out.data());
+  // One run per row the page holds a part of, under that row's version
+  // (version 0 when no table is given).
+  for (uint64_t k = first; k < first + n;) {
+    const uint64_t v = k / feature_dim_;
+    const uint64_t end = std::min(first + n, (v + 1) * feature_dim_);
+    const uint64_t base = versions.empty()
+                              ? content_seed_
+                              : VersionBase(content_seed_, versions[v]);
+    FillElements(base, k, end - k, out.data() + (k - first) * sizeof(float));
+    k = end;
+  }
   // Bytes past the end of the feature file read as zeros.
   std::memset(out.data() + n * sizeof(float), 0,
               out.size() - n * sizeof(float));

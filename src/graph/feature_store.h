@@ -94,8 +94,11 @@ class FeatureStore {
   /// Regenerates the raw bytes of storage page `page` into `out`
   /// (size == page_bytes). Bytes past the end of the feature file are
   /// zero-filled. This is the ground truth the synthetic block device
-  /// serves, byte-identical to FillFeature's view.
-  void FillPage(uint64_t page, std::span<std::byte> out) const;
+  /// serves, byte-identical to FillFeature's view. With `versions`
+  /// (one entry per node) each row's part of the page is filled under
+  /// that row's version instead, byte-identical to FillFeatureAt's view.
+  void FillPage(uint64_t page, std::span<std::byte> out,
+                std::span<const uint64_t> versions = {}) const;
 
  private:
   NodeId num_nodes_;

@@ -112,8 +112,7 @@ void GinexLoader::PrepareSuperbatch() {
 
     // Aggregation: async storage reads for misses, DRAM copies for hits.
     const sim::CpuModel& cpu = system_->cpu();
-    TimeNs read_ns = cpu.AsyncReadTime(misses, fs.page_bytes(),
-                                       system_->config().ssd,
+    TimeNs read_ns = cpu.AsyncReadTime(misses, system_->config().ssd,
                                        options_.async_queue_depth);
     TimeNs copy_ns = SecToNs(static_cast<double>(hits * fs.page_bytes()) /
                              cpu.spec().dram_gather_bps);

@@ -62,8 +62,6 @@ class GinexLoader : public DataLoader {
   TimeNs elapsed_ns() const override { return elapsed_ns_; }
   uint64_t iterations() const override { return iterations_; }
 
-  const BeladyCache& feature_cache() const { return *cache_; }
-
  private:
   void PrepareSuperbatch();
 

@@ -53,8 +53,6 @@ class MmapLoader : public DataLoader {
   TimeNs elapsed_ns() const override { return elapsed_ns_; }
   uint64_t iterations() const override { return iterations_; }
 
-  const OsPageCache& page_cache() const { return *page_cache_; }
-
  private:
   const graph::Dataset* dataset_;
   sampling::Sampler* sampler_;

@@ -47,7 +47,7 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
   cache_ = std::make_unique<storage::SoftwareCache>(
       options_.gpu_cache_lines * fs_.page_bytes(), fs_.page_bytes(),
       fs_.num_pages(), /*seed=*/options_.seed ^ 0xcac4e,
-      /*store_payloads=*/false, options_.cache_shards);
+      /*store_payloads=*/false);
   if (options_.host_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.host_threads);
   }

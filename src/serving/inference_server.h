@@ -56,8 +56,6 @@ struct ServingOptions {
   uint32_t feature_dim = 128;
   /// GPU software-cache capacity in feature pages.
   uint64_t gpu_cache_lines = 512;
-  /// Software-cache shard count override; 0 = automatic (as GidsOptions).
-  uint32_t cache_shards = 0;
   /// Worker threads for intra-batch parallel sampling (the gather is
   /// serial); results are bit-identical across values.
   uint32_t host_threads = 1;

@@ -37,10 +37,9 @@ AggregationTiming ComputeAggregationTiming(const SystemModel& system,
                     (1.0 - cfg.redirect_interference * cpu_share);
     uint64_t ssd_window = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(window)));
-    SsdSpec spec = cfg.ssd;
-    spec.io_size_bytes = counts.page_bytes;
+    // The closed-loop duration does not depend on ssd.io_size_bytes.
     SsdBatchResult ssd =
-        EstimateClosedLoop(spec, cfg.n_ssd, counts.ssd_reads, ssd_window);
+        EstimateClosedLoop(cfg.ssd, cfg.n_ssd, counts.ssd_reads, ssd_window);
     t.ssd_ns = launch_overhead + ssd.duration_ns;
   } else {
     t.ssd_ns = launch_overhead;

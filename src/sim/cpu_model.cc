@@ -46,12 +46,10 @@ TimeNs CpuModel::MmapGatherTime(uint64_t copy_bytes, uint64_t faulting_pages,
   return SecToNs(hit_secs + fault_secs);
 }
 
-TimeNs CpuModel::AsyncReadTime(uint64_t pages, uint32_t page_bytes,
-                               const SsdSpec& ssd, uint64_t qd) const {
+TimeNs CpuModel::AsyncReadTime(uint64_t pages, const SsdSpec& ssd,
+                               uint64_t qd) const {
   if (pages == 0) return 0;
-  SsdSpec at_page_size = ssd;
-  at_page_size.io_size_bytes = page_bytes;
-  SsdBatchResult r = EstimateClosedLoop(at_page_size, /*n_ssd=*/1, pages, qd);
+  SsdBatchResult r = EstimateClosedLoop(ssd, /*n_ssd=*/1, pages, qd);
   // Submission/completion software cost per IO on the CPU path.
   TimeNs sw = static_cast<TimeNs>(pages) * 2000;
   return r.duration_ns + sw;

@@ -65,8 +65,7 @@ class CpuModel {
 
   /// Time for a CPU-initiated asynchronous read path with queue depth `qd`
   /// (Ginex-style pipelined reads via e.g. io_uring / async workers).
-  TimeNs AsyncReadTime(uint64_t pages, uint32_t page_bytes, const SsdSpec& ssd,
-                       uint64_t qd) const;
+  TimeNs AsyncReadTime(uint64_t pages, const SsdSpec& ssd, uint64_t qd) const;
 
  private:
   CpuSpec spec_;

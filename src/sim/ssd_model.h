@@ -73,10 +73,6 @@ class SsdModel {
   /// outstanding requests.
   SsdBatchResult SimulateClosedLoop(uint64_t n, uint64_t concurrency);
 
-  /// Deterministic expected service time for one request (mean), used by
-  /// callers that want latency without jitter.
-  TimeNs mean_service_ns() const { return spec_.read_latency_ns; }
-
  private:
   TimeNs SampleServiceTime();
 

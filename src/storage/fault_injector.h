@@ -128,7 +128,6 @@ class FaultInjector {
       : options_(options), retry_(retry) {}
 
   const FaultOptions& options() const { return options_; }
-  const RetryPolicy& retry() const { return retry_; }
 
   /// Decides the fate of attempt `attempt` (0-based) of a read of `page`
   /// served by striped device `device` (the page's primary, or the replica

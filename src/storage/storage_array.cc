@@ -1,7 +1,5 @@
 #include "storage/storage_array.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,53 +73,22 @@ uint64_t StorageArray::RecoverJournal() {
   return journal_->Recover();
 }
 
-Status StorageArray::ReadCleanPage(uint64_t page,
-                                   std::span<std::byte> out) const {
-  if (journal_ != nullptr) {
-    std::shared_lock<std::shared_mutex> lock(overlay_mu_);
-    auto it = overlay_.find(page);
-    if (it != overlay_.end()) {
-      std::memcpy(out.data(), it->second.data(),
-                  std::min(out.size(), it->second.size()));
-      return Status::OK();
-    }
-  }
-  return device_->ReadBlock(page, out);
-}
-
 void StorageArray::ApplyRecordToPages(const MutationRecord& rec,
                                       std::vector<uint64_t>* pages) {
   pages->clear();
   if (rec.payload.empty()) return;  // topology deltas touch no page bytes
   const uint64_t pb = page_bytes();
-  std::unique_lock<std::shared_mutex> lock(overlay_mu_);
-  uint64_t pos = rec.offset;
-  size_t done = 0;
-  while (done < rec.payload.size()) {
-    const uint64_t page = pos / pb;
-    const uint64_t in_page = pos % pb;
-    const size_t n = static_cast<size_t>(
-        std::min<uint64_t>(pb - in_page, rec.payload.size() - done));
-    std::vector<std::byte>& buf = overlay_[page];
-    if (buf.empty()) {
-      buf.resize(pb);
-      Status s = device_->ReadBlock(page, std::span<std::byte>(buf));
-      GIDS_CHECK(s.ok());
-    }
-    std::memcpy(buf.data() + in_page, rec.payload.data() + done, n);
-    done += n;
-    pos += n;
+  const uint64_t last = (rec.offset + rec.payload.size() - 1) / pb;
+  for (uint64_t page = rec.offset / pb; page <= last; ++page) {
     pages->push_back(page);
     // Checkpointing rewrites the whole striped page: that is the
     // write-amplification the ledger reports against logical bytes.
     journal_->mutable_counters().applied_page_bytes.fetch_add(
         pb, std::memory_order_relaxed);
-    // Refresh the expected-checksum memo in place: the new bytes are in
-    // hand, and a stale memo would make verify-on-read flag the mutation
-    // itself as corruption.
+    // A stale memo would make verify-on-read flag the mutation itself as
+    // corruption; the next read re-takes it from the new clean bytes.
     if (checksums_ != nullptr) {
-      const uint32_t crc = checksummer_.Checksum(page, buf.data(), buf.size());
-      checksums_[page].store((1ull << 32) | crc, std::memory_order_release);
+      checksums_[page].store(0, std::memory_order_release);
     }
   }
 }
@@ -147,10 +114,10 @@ uint32_t StorageArray::ExpectedChecksum(uint64_t page,
   std::atomic<uint64_t>& slot = checksums_[page];
   uint64_t memo = slot.load(std::memory_order_acquire);
   if (memo != 0) return static_cast<uint32_t>(memo);
-  // First touch of this page: `clean` is the device's ground truth
-  // patched with the applied-mutation overlay, read before any corruption
-  // was injected, so its sum is the write-time checksum. Racing threads
-  // compute the same value, so the unconditional store is benign.
+  // First touch of this page since it was last written: `clean` is the
+  // device's ground truth, read before any corruption was injected, so
+  // its sum is the write-time checksum. Racing threads compute the same
+  // value, so the unconditional store is benign.
   uint32_t crc = checksummer_.Checksum(page, clean.data(), clean.size());
   slot.store((1ull << 32) | crc, std::memory_order_release);
   return crc;
@@ -202,7 +169,7 @@ Status StorageArray::ReadPage(uint64_t page, std::span<std::byte> out,
       bool mismatch = false;
       uint32_t expected_crc = 0;  // functional reads with integrity only
       if (!out.empty()) {
-        GIDS_RETURN_IF_ERROR(ReadCleanPage(page, out));
+        GIDS_RETURN_IF_ERROR(device_->ReadBlock(page, out));
         if (integrity_.enabled()) expected_crc = ExpectedChecksum(page, out);
         if (a.corrupt) injector_->Corrupt(page, attempt, out);
       }

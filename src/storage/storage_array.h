@@ -6,9 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -95,7 +93,6 @@ class StorageArray {
                             const RetryPolicy& retry);
   /// The installed injector, or nullptr when the array is fault-free.
   const FaultInjector* fault_injector() const { return injector_.get(); }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Installs the integrity layer (INTEGRITY.md): a page-tagged CRC-32C
   /// checksummer plus the configured verify points. Call before issuing
@@ -117,8 +114,9 @@ class StorageArray {
   /// per device, coordinated across the replica fan-out. Call after
   /// EnableIntegrity/EnableReplication and before issuing reads. Mutations
   /// flow Submit -> Sync -> Apply (all from one single-flight driver);
-  /// reads see a mutation only once the applier checkpoints it into the
-  /// striped pages (the overlay).
+  /// reads see a mutation only once the applier checkpoints it. The page
+  /// bytes themselves come from the block device: the loader's device
+  /// serves every row at its applied version (MutationStream).
   void EnableJournal(const JournalOptions& options);
   bool journal_enabled() const { return journal_ != nullptr; }
   JournalCoordinator* journal() { return journal_.get(); }
@@ -149,10 +147,13 @@ class StorageArray {
   /// point). Returns the number of journals whose durable tail advanced.
   uint64_t SyncJournals();
   /// The background-applier step: checkpoints up to `budget` durable
-  /// records (0 = all ready) into the striped pages, in strict LSN order.
-  /// `on_applied`, if given, runs once per record with the storage pages
-  /// the apply touched — the loader invalidates cache lines and refreshes
-  /// CPU-buffer rows from it. Returns the number of records applied.
+  /// records (0 = all ready) in strict LSN order. For each record it
+  /// charges the rewritten pages' bytes, records replica freshness and
+  /// resets the pages' checksum memos (the next verified read re-takes
+  /// each from the new clean bytes). `on_applied`, if given, runs once per
+  /// record with the storage pages the apply touched — the loader advances
+  /// the row version and invalidates cache lines from it. Returns the
+  /// number of records applied.
   uint64_t ApplyJournal(
       uint64_t budget,
       const std::function<void(const MutationRecord&,
@@ -160,7 +161,7 @@ class StorageArray {
           nullptr);
   /// Deterministic crash at the current instant: un-synced journal tails
   /// are truncated at a (crash_seed, device)-chosen point. Checkpointed
-  /// pages (the overlay) and synced journal prefixes survive.
+  /// records and synced journal prefixes survive.
   void CrashJournal(uint64_t crash_seed);
   /// Crash-recovery replay; returns the number of surviving records
   /// replayed above the applied watermark (see JournalCoordinator).
@@ -298,17 +299,14 @@ class StorageArray {
 
  private:
   /// Write-time checksum of `page`, memoized: on first touch it is the
-  /// checksum of `clean`, the page's clean contents just read by
-  /// ReadCleanPage (corruption is injected after the memo is taken). The
-  /// applier refreshes the memo of every page it rewrites.
+  /// checksum of `clean`, the page's clean contents just read from the
+  /// device (corruption is injected after the memo is taken). The applier
+  /// resets the memo of every page it rewrites, so the next read re-takes
+  /// it from the new contents.
   uint32_t ExpectedChecksum(uint64_t page, std::span<const std::byte> clean);
-  /// Ground-truth page contents: the backing device patched with the
-  /// applied-mutation overlay. Byte-for-byte the raw device read when the
-  /// journal is off or the page was never mutated.
-  Status ReadCleanPage(uint64_t page, std::span<std::byte> out) const;
-  /// Checkpoints one applied record's payload into the overlay pages,
-  /// refreshes their checksum memos, and appends the touched pages to
-  /// `pages` (cleared first).
+  /// Checkpoints one applied record: appends the pages its row spans to
+  /// `pages` (cleared first; none for topology deltas), charges their
+  /// bytes and resets their checksum memos.
   void ApplyRecordToPages(const MutationRecord& rec,
                           std::vector<uint64_t>* pages);
   /// Post-success bookkeeping shared by both modes. `device` is the
@@ -352,13 +350,6 @@ class StorageArray {
   std::atomic<TimeNs> clock_ns_{0};
   std::unique_ptr<ReplicaSet> replicas_;        // null = single copy
   std::unique_ptr<JournalCoordinator> journal_; // null = read-only pages
-  /// Checkpointed page contents (pages the applier rewrote). The backing
-  /// FunctionBlockDevice regenerates pristine bytes only, so mutated pages
-  /// live here; ReadCleanPage patches reads through it. Reader-heavy:
-  /// gather threads take the shared lock, the single-flight applier the
-  /// exclusive one.
-  mutable std::shared_mutex overlay_mu_;
-  std::unordered_map<uint64_t, std::vector<std::byte>> overlay_;
   std::atomic<uint64_t> replica_failovers_total_{0};
   std::atomic<uint64_t> replica_quorum_lost_total_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> failovers_from_device_;

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <ostream>
+#include <span>
 #include <vector>
 
 namespace gids::graph {
@@ -161,18 +162,31 @@ TEST(FeatureStoreTest, FillsMatchScalarElements) {
       FeatureStore fs(kNodes, dim, page_bytes);
       const uint64_t elements = static_cast<uint64_t>(kNodes) * dim;
       const uint64_t per_page = page_bytes / sizeof(float);
+      // Versioned pages: rows at mixed versions, several to a page where
+      // the dim is small.
+      std::vector<uint64_t> versions(kNodes);
+      for (NodeId v = 0; v < kNodes; ++v) versions[v] = (v * 5) % 3;
       std::vector<std::byte> page(page_bytes);
-      for (uint64_t p = 0; p <= fs.num_pages() + 1; ++p) {
-        fs.FillPage(p, page);
-        for (uint64_t i = 0; i < per_page; ++i) {
-          const uint64_t k = p * per_page + i;
-          float got = 0;
-          std::memcpy(&got, page.data() + i * sizeof(float), sizeof(got));
-          const float want =
-              k < elements ? fs.ExpectedElement(static_cast<NodeId>(k / dim),
-                                                static_cast<uint32_t>(k % dim))
-                           : 0.0f;
-          ASSERT_EQ(Bits(got), Bits(want)) << "page " << p << " elem " << i;
+      for (std::span<const uint64_t> row_versions :
+           {std::span<const uint64_t>(), std::span<const uint64_t>(versions)}) {
+        for (uint64_t p = 0; p <= fs.num_pages() + 1; ++p) {
+          fs.FillPage(p, page, row_versions);
+          for (uint64_t i = 0; i < per_page; ++i) {
+            const uint64_t k = p * per_page + i;
+            float got = 0;
+            std::memcpy(&got, page.data() + i * sizeof(float), sizeof(got));
+            float want = 0.0f;
+            if (k < elements) {
+              const auto v = static_cast<NodeId>(k / dim);
+              const auto j = static_cast<uint32_t>(k % dim);
+              want = row_versions.empty()
+                         ? fs.ExpectedElement(v, j)
+                         : fs.ExpectedElementAt(v, j, row_versions[v]);
+            }
+            ASSERT_EQ(Bits(got), Bits(want))
+                << "page " << p << " elem " << i << " versioned "
+                << !row_versions.empty();
+          }
         }
       }
       std::vector<float> row(dim);

@@ -51,7 +51,7 @@ TEST(CpuModelTest, AsyncReadsOverlapLatency) {
   // Ginex-style async reads with queue depth 64 beat serial faulting.
   CpuModel cpu(CpuSpec::EpycServer());
   SsdSpec samsung = SsdSpec::Samsung980Pro();
-  TimeNs async64 = cpu.AsyncReadTime(10000, 4096, samsung, 64);
+  TimeNs async64 = cpu.AsyncReadTime(10000, samsung, 64);
   TimeNs serial = cpu.MmapGatherTime(0, 10000, samsung);
   EXPECT_LT(async64 * 4, serial);
 }

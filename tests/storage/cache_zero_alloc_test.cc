@@ -1,7 +1,7 @@
 // A warm storage stack allocates nothing: look-ahead registrations,
 // lookups, insertions and invalidations of pages a cache has never seen,
-// on a full, evicting, window-pinned cache, and fault-free storage reads,
-// make no heap allocation at all. The count is taken at global operator
+// on a full, evicting, window-pinned cache, fault-free storage reads, and
+// the costing of a gather make no heap allocation at all. The count is taken at global operator
 // new (tests/common/heap_counter.cc), so it covers every allocator, not
 // just pool misses; both files are built into workspace_test only.
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 #include <span>
 #include <vector>
 
+#include "sim/system_model.h"
 #include "storage/block_device.h"
+#include "storage/feature_gather.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
 #include "tests/common/heap_counter.h"
@@ -82,6 +84,29 @@ TEST(StorageZeroAllocTest, WarmFaultFreeReadsAllocateNothing) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(array.total_reads() - reads_before, 2 * (kPages - 64));
   EXPECT_EQ(payload[0], static_cast<std::byte>(kPages - 1));
+}
+
+// Costing a gather reads the system's SsdSpec in place. A copy would
+// allocate: the Optane spec's name does not fit std::string's inline
+// buffer.
+TEST(StorageZeroAllocTest, CostGatherOnOptaneAllocatesNothing) {
+  const sim::SystemModel system(
+      sim::SystemConfig::Paper(sim::SsdSpec::IntelOptane(), /*n_ssd=*/2));
+  FeatureGatherCounts counts;
+  counts.nodes = 96;
+  counts.gpu_cache_hits = 40;
+  counts.cpu_buffer_hits = 16;
+  counts.storage_reads = 64;
+  const GatherReceipt receipt;
+
+  const uint64_t allocs_before = gids::testing::HeapAllocations();
+  const GatherCost cost =
+      CostGather(system, counts, /*page_bytes=*/4096, receipt,
+                 StorageArray::kQueueCapacity, /*mutation_ns=*/0,
+                 /*members=*/1);
+  const uint64_t allocs = gids::testing::HeapAllocations() - allocs_before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(cost.timing.ssd_ns, 0);
 }
 
 }  // namespace

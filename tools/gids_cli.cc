@@ -201,23 +201,43 @@ graph::DatasetSpec SpecByName(const std::string& name) {
   std::exit(2);
 }
 
-StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
-  if (flags.Has("in")) {
-    return graph::LoadDataset(flags.Get("in"));
+/// The dataset the flags name: a saved proxy (--in) or a catalog entry
+/// generated on the fly (--dataset, --scale, --seed). Constructing it
+/// reads and checks those flags; Build() is the only step that loads or
+/// generates anything.
+class DatasetSource {
+ public:
+  explicit DatasetSource(const Flags& flags) {
+    if (flags.Has("in")) {
+      path_ = flags.Get("in");
+    } else {
+      spec_ = SpecByName(flags.Get("dataset", "IGB-tiny"));
+      scale_ = flags.GetDouble("scale", 1.0 / 256);
+      seed_ = static_cast<uint64_t>(flags.GetInt("seed", 42));
+    }
   }
-  const graph::DatasetSpec spec = SpecByName(flags.Get("dataset", "IGB-tiny"));
-  return graph::BuildDataset(spec, flags.GetDouble("scale", 1.0 / 256),
-                             static_cast<uint64_t>(flags.GetInt("seed", 42)));
-}
+
+  StatusOr<graph::Dataset> Build() const {
+    if (!path_.empty()) return graph::LoadDataset(path_);
+    return graph::BuildDataset(spec_, scale_, seed_);
+  }
+
+ private:
+  std::string path_;  // --in; empty = generate
+  graph::DatasetSpec spec_;
+  double scale_ = 0;
+  uint64_t seed_ = 0;
+};
 
 int CmdGenerate(const Flags& flags) {
   const std::string out = flags.Get("out", "dataset.gids");
-  auto dataset = ResolveDataset(flags);
+  const DatasetSource source(flags);
+  flags.RejectUnread();
+  auto dataset = source.Build();
   if (!dataset.ok()) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  flags.RejectUnread();
   Status s = graph::SaveDataset(*dataset, out);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -262,6 +282,8 @@ int CmdInfo(const Flags& flags) {
 }
 
 int CmdRun(const Flags& flags) {
+  // Every flag is read, checked and applied to the options before the
+  // dataset is built, so a bad one exits with status 2 at once.
   const std::vector<int> fanouts =
       flags.GetIntList("fanout", "10,5,5", /*min=*/1);
   const auto batch =
@@ -304,26 +326,18 @@ int CmdRun(const Flags& flags) {
     }
     cache_policy = policy_kind;
   }
-  auto dataset_or = ResolveDataset(flags);
-  if (!dataset_or.ok()) {
-    std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
-    return 1;
-  }
-  graph::Dataset dataset = std::move(dataset_or).value();
+  const DatasetSource source(flags);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 
   sim::SsdSpec ssd = ssd_name == "samsung" ? sim::SsdSpec::Samsung980Pro()
                                            : sim::SsdSpec::IntelOptane();
   sim::SystemConfig cfg = sim::SystemConfig::Paper(
       ssd, static_cast<int>(flags.GetCount("n-ssd", 1, /*min=*/1)));
-  cfg.memory_scale = flags.GetDouble("memory-scale", dataset.scale);
-  sim::SystemModel system(cfg);
-
-  sampling::NeighborSampler sampler(
-      &dataset.graph, {.fanouts = fanouts},
-      static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5a3e);
-  sampling::SeedIterator seeds(
-      dataset.train_ids, batch,
-      static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5eed);
+  // Defaults to the dataset's own scale, known only once it is built.
+  std::optional<double> memory_scale;
+  if (flags.Has("memory-scale")) {
+    memory_scale = flags.GetDouble("memory-scale", 0.0);
+  }
 
   // Observability sinks (see OBSERVABILITY.md). Created whenever an
   // export path was requested; the loaders self-instrument against them.
@@ -352,28 +366,9 @@ int CmdRun(const Flags& flags) {
     exemplars = std::make_unique<obs::ExemplarReservoir>(report_top_k);
   }
 
-  std::unique_ptr<loaders::DataLoader> loader;
-  std::vector<graph::NodeId> hot_order;
-  if (kind == "mmap") {
-    loader = std::make_unique<loaders::MmapLoader>(
-        &dataset, &sampler, &seeds, &system,
-        loaders::MmapLoaderOptions{.counting_mode = true,
-                                   .metrics = metrics_ptr,
-                                   .trace = trace_ptr,
-                                   .timeline = timeline.get(),
-                                   .exemplars = exemplars.get()});
-  } else if (kind == "ginex") {
-    loaders::GinexLoaderOptions gopts;
-    gopts.counting_mode = true;
-    gopts.metrics = metrics_ptr;
-    gopts.trace = trace_ptr;
-    gopts.timeline = timeline.get();
-    gopts.exemplars = exemplars.get();
-    loader = std::make_unique<loaders::GinexLoader>(&dataset, &sampler,
-                                                    &seeds, &system, gopts);
-  } else {
-    core::GidsOptions opts =
-        kind == "bam" ? core::GidsOptions::Bam() : core::GidsOptions{};
+  core::GidsOptions opts =
+      kind == "bam" ? core::GidsOptions::Bam() : core::GidsOptions{};
+  if (gids_family) {
     opts.counting_mode = true;
     if (flags.GetBool("no-accumulator")) opts.use_accumulator = false;
     if (flags.GetBool("no-window")) opts.use_window_buffering = false;
@@ -451,6 +446,46 @@ int CmdRun(const Flags& flags) {
                    valid.message().c_str());
       return 2;
     }
+    opts.metrics = metrics_ptr;
+    opts.trace = trace_ptr;
+    opts.timeline = timeline.get();
+    opts.exemplars = exemplars.get();
+  }
+  flags.RejectUnread();
+
+  auto dataset_or = source.Build();
+  if (!dataset_or.ok()) {
+    std::fprintf(stderr, "%s\n", dataset_or.status().ToString().c_str());
+    return 1;
+  }
+  graph::Dataset dataset = std::move(dataset_or).value();
+  cfg.memory_scale = memory_scale.value_or(dataset.scale);
+  sim::SystemModel system(cfg);
+
+  sampling::NeighborSampler sampler(&dataset.graph, {.fanouts = fanouts},
+                                    seed ^ 0x5a3e);
+  sampling::SeedIterator seeds(dataset.train_ids, batch, seed ^ 0x5eed);
+
+  std::unique_ptr<loaders::DataLoader> loader;
+  std::vector<graph::NodeId> hot_order;
+  if (kind == "mmap") {
+    loader = std::make_unique<loaders::MmapLoader>(
+        &dataset, &sampler, &seeds, &system,
+        loaders::MmapLoaderOptions{.counting_mode = true,
+                                   .metrics = metrics_ptr,
+                                   .trace = trace_ptr,
+                                   .timeline = timeline.get(),
+                                   .exemplars = exemplars.get()});
+  } else if (kind == "ginex") {
+    loaders::GinexLoaderOptions gopts;
+    gopts.counting_mode = true;
+    gopts.metrics = metrics_ptr;
+    gopts.trace = trace_ptr;
+    gopts.timeline = timeline.get();
+    gopts.exemplars = exemplars.get();
+    loader = std::make_unique<loaders::GinexLoader>(&dataset, &sampler,
+                                                    &seeds, &system, gopts);
+  } else {
     if (opts.use_cpu_buffer &&
         opts.cache_policy != storage::CachePolicyKind::kPresample) {
       // The presample policy ranks the buffer itself; every other kind
@@ -459,14 +494,9 @@ int CmdRun(const Flags& flags) {
       hot_order = graph::RankNodesByScore(score);
       opts.hot_node_order = &hot_order;
     }
-    opts.metrics = metrics_ptr;
-    opts.trace = trace_ptr;
-    opts.timeline = timeline.get();
-    opts.exemplars = exemplars.get();
     loader = std::make_unique<core::GidsLoader>(&dataset, &sampler, &seeds,
                                                 &system, opts);
   }
-  flags.RejectUnread();
 
   core::Trainer trainer(
       &dataset,
